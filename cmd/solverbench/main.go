@@ -5,12 +5,8 @@
 // `go test -bench MILP` benchmarks in internal/core, so numbers from
 // either source are comparable.
 //
-// "Legacy" entries run the pre-incremental solver configuration (cold
-// two-phase LP solve per node, weak symmetry rows only); "warm" entries
-// run the shipped incremental configuration. The 32-receiver
-// feasibility instance has no runnable legacy entry: that path does not
-// finish even its root LP relaxation in tens of minutes, which is
-// recorded as a skipped case rather than silently dropped.
+// "warm" entries run the incremental MILP solver, which warm-starts
+// every node from its parent's basis.
 //
 // Usage:
 //
@@ -72,10 +68,9 @@ type report struct {
 
 // benchCase runs one solver configuration under testing.Benchmark and
 // folds the per-iteration solver statistics into the result.
-func benchCase(ctx context.Context, name string, a *trace.Analysis, numBuses int, sym core.SymmetryLevel, optimize bool, opts milp.Options, config string) caseResult {
+func benchCase(ctx context.Context, name string, a *trace.Analysis, numBuses int, optimize bool, opts milp.Options, config string) caseResult {
 	conflicts := core.BuildConflicts(a, core.DefaultOptions())
-	fr := core.NewFormulator(a, conflicts, 4, sym)
-	f := fr.ForBusCount(numBuses, optimize)
+	f := core.NewFormulator(a, conflicts, 4).ForBusCount(numBuses, optimize)
 	opts.FirstFeasible = !optimize
 
 	var nodes, depth, incumbents, warm, cold, pivots, lpIters, iters int64
@@ -240,8 +235,7 @@ func deltaCases(ctx context.Context, add func(caseResult)) error {
 //     against the sequential MILP baseline is the headline number.
 //   - probe-32rx-10bus and design-32rx-feasible: the decisive probe and
 //     the full design of the 32-receiver instance, which no sequential
-//     engine completes at all (recorded as skipped baselines, the same
-//     convention as the legacy 32-receiver entry).
+//     engine completes at all (recorded as skipped baselines).
 //   - design-{128,256,512}rx: the production-scale instances, designed
 //     to audited optimality (Buses equals the exact clique bound,
 //     Objective 0, Capped false) across engines and worker counts.
@@ -321,12 +315,12 @@ func parallelCases(ctx context.Context, quick bool, add func(caseResult)) {
 	}
 }
 
-// bindingIncumbent solves the binding MILP of a once, cold, and
+// bindingIncumbent solves the binding MILP of a once, unseeded, and
 // re-encodes the optimal binding as an incumbent vector for the same
 // formulation.
 func bindingIncumbent(ctx context.Context, a *trace.Analysis, numBuses int) ([]float64, error) {
 	conflicts := core.BuildConflicts(a, core.DefaultOptions())
-	f := core.NewFormulator(a, conflicts, 4, core.SymFull).ForBusCount(numBuses, true)
+	f := core.NewFormulator(a, conflicts, 4).ForBusCount(numBuses, true)
 	sol, err := milp.SolveCtx(ctx, f.Problem, milp.Options{})
 	if err != nil {
 		return nil, err
@@ -351,7 +345,6 @@ func run(ctx context.Context) (err error) {
 	a32 := benchprobs.Analysis32()
 	a8 := benchprobs.Analysis8()
 
-	legacy := milp.Options{Cold: true}
 	warm := milp.Options{}
 
 	var rep report
@@ -368,20 +361,14 @@ func run(ctx context.Context) (err error) {
 			c.Name, c.Config, c.NsPerOp, c.Nodes, c.MaxDepth, c.Incumbents, c.WarmSolves, c.ColdSolves, c.LPIters)
 	}
 
-	add(benchCase(ctx, "feasible-12rx-4bus", a12, 4, core.SymWeak, false, legacy, "legacy"))
-	add(benchCase(ctx, "feasible-12rx-4bus", a12, 4, core.SymFull, false, warm, "warm"))
-	add(caseResult{
-		Name: "feasible-32rx-12bus", Config: "legacy", Skipped: true,
-		Note: "the cold per-node solver does not finish the root LP relaxation of this instance (observed >50 min without completing); the warm entry below is the replacement this tool exists to measure",
-	})
+	add(benchCase(ctx, "feasible-12rx-4bus", a12, 4, false, warm, "warm"))
 	if *quick {
 		add(caseResult{Name: "feasible-32rx-12bus", Config: "warm", Skipped: true, Note: "-quick"})
 	} else {
-		add(benchCase(ctx, "feasible-32rx-12bus", a32, 12, core.SymFull, false, warm, "warm"))
+		add(benchCase(ctx, "feasible-32rx-12bus", a32, 12, false, warm, "warm"))
 	}
-	add(benchCase(ctx, "infeasible-32rx-8bus-root", a32, 8, core.SymFull, false, warm, "warm"))
-	add(benchCase(ctx, "binding-8rx-3bus", a8, 3, core.SymWeak, true, legacy, "legacy"))
-	add(benchCase(ctx, "binding-8rx-3bus", a8, 3, core.SymFull, true, warm, "warm"))
+	add(benchCase(ctx, "infeasible-32rx-8bus-root", a32, 8, false, warm, "warm"))
+	add(benchCase(ctx, "binding-8rx-3bus", a8, 3, true, warm, "warm"))
 
 	// Incumbent-seeded binding: re-solve the 8-receiver binding MILP
 	// with its own optimum injected as the starting incumbent
@@ -391,7 +378,7 @@ func run(ctx context.Context) (err error) {
 	if inc, err := bindingIncumbent(ctx, a8, 3); err != nil {
 		add(caseResult{Name: "binding-8rx-3bus", Config: "warm-incumbent", Skipped: true, Note: err.Error()})
 	} else {
-		add(benchCase(ctx, "binding-8rx-3bus", a8, 3, core.SymFull, true, milp.Options{Incumbent: inc}, "warm-incumbent"))
+		add(benchCase(ctx, "binding-8rx-3bus", a8, 3, true, milp.Options{Incumbent: inc}, "warm-incumbent"))
 	}
 
 	parallelCases(ctx, *quick, add)

@@ -12,7 +12,7 @@ import (
 
 // AnalysisGenParams sizes random traces for the analysis-kernel
 // differential harness. Unlike the solver harness (which keeps cases
-// tiny so the cold MILP path stays affordable) no solver runs here, so
+// tiny so the exhaustive oracle stays affordable) no solver runs here, so
 // the traces are bigger and the receiver count deliberately exceeds 64:
 // the sweep kernel's active-receiver bitset then spans multiple words,
 // a code path the solver-sized cases never reach.

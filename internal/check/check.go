@@ -3,7 +3,7 @@
 // spirit of the external evaluators used by automated-NoC-design
 // frameworks (see PAPERS.md).
 //
-// It provides two instruments:
+// It provides three instruments:
 //
 //   - an auditor (Audit) that recomputes every paper constraint a
 //     produced binding was solved under — Eq. 3 (one bus per target),
@@ -11,11 +11,16 @@
 //     separation), Eq. 8 (targets-per-bus cap) — plus objective
 //     consistency (the reported maxov of Eq. 11 must equal the
 //     recomputed maximum per-bus aggregate overlap), returning
-//     structured violations rather than a bool; and
-//   - a differential harness (Diff, RandomCase) that runs the
-//     specialized assignment solver, the warm-started MILP and the
-//     legacy cold MILP path on the same seeded random problem and
-//     asserts identical feasibility verdicts and optimal objectives.
+//     structured violations rather than a bool;
+//   - an exhaustive oracle (Exhaustive) that solves instances of up to
+//     MaxExhaustiveReceivers receivers exactly by enumerating every
+//     binding, so minimality and optimality are checked without
+//     trusting any solver's bounds; and
+//   - a differential harness (Diff, RandomCase) that runs the oracle,
+//     the specialized assignment solver, the warm-started MILP and the
+//     portfolio on the same seeded random problem and asserts
+//     identical feasibility verdicts, bus counts and optimal
+//     objectives.
 //
 // The auditor deliberately shares no code with the solvers' pruned
 // search state: it re-derives loads and overlaps from the Analysis

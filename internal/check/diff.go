@@ -9,43 +9,40 @@ import (
 	"repro/internal/trace"
 )
 
-// SolverPath is one of the design-engine configurations whose
-// agreement the differential harness asserts.
+// SolverPath is one of the solvers whose agreement the differential
+// harness asserts.
 type SolverPath struct {
 	// Name identifies the path in disagreement reports.
 	Name string
-	// Configure rewrites the case options into this path's engine
-	// selection, leaving every problem knob untouched.
-	Configure func(core.Options) core.Options
+	// Solve designs the analysis under the case options. A path that
+	// proves the whole bus range infeasible returns an error wrapping
+	// core.ErrInfeasible.
+	Solve func(ctx context.Context, a *trace.Analysis, opts core.Options) (*core.Design, error)
 }
 
-// Paths returns the solver paths pinned by the harness: the
-// specialized exact assignment search, the warm-started incremental
-// MILP, the legacy cold-restart MILP kept behind Options.MILPLegacy
-// (milp.Options.Cold), and the racing portfolio, which must land on
-// the same bus count and objective as the engines it races no matter
-// which contestant wins each probe.
+// Paths returns the solver paths pinned by the harness. The first is
+// the reference the others are compared against: the exhaustive oracle,
+// the only path that shares no lower bound or search code with the
+// engines. Then come the specialized exact assignment search, the
+// warm-started MILP, and the racing portfolio, which must land on the
+// same bus count and objective as the engines it races no matter which
+// contestant wins each probe.
 func Paths() []SolverPath {
 	return []SolverPath{
-		{Name: "assign", Configure: func(o core.Options) core.Options {
-			o.Engine = core.EngineBranchBound
-			return o
-		}},
-		{Name: "milp-warm", Configure: func(o core.Options) core.Options {
-			o.Engine = core.EngineMILP
-			o.MILPLegacy = false
-			return o
-		}},
-		{Name: "milp-cold", Configure: func(o core.Options) core.Options {
-			o.Engine = core.EngineMILP
-			o.MILPLegacy = true
-			return o
-		}},
-		{Name: "portfolio", Configure: func(o core.Options) core.Options {
-			o.Engine = core.EnginePortfolio
-			return o
-		}},
+		{Name: "exhaustive", Solve: Exhaustive},
+		enginePath("assign", core.EngineBranchBound),
+		enginePath("milp-warm", core.EngineMILP),
+		enginePath("portfolio", core.EnginePortfolio),
 	}
+}
+
+// enginePath runs the full core methodology with the given engine,
+// leaving every problem knob of the case options untouched.
+func enginePath(name string, e core.Engine) SolverPath {
+	return SolverPath{Name: name, Solve: func(ctx context.Context, a *trace.Analysis, opts core.Options) (*core.Design, error) {
+		opts.Engine = e
+		return core.DesignCrossbarCtx(ctx, a, opts)
+	}}
 }
 
 // Verdict is one solver path's outcome on a case.
@@ -68,12 +65,13 @@ type DiffOutcome struct {
 	Verdicts []Verdict
 }
 
-// Disagreements returns a description per solver-contract breach: a
-// feasibility verdict mismatch, a minimal-bus-count mismatch, an
-// optimal-objective mismatch (binding mode only — the exact paths
-// must agree on the optimum even when tie-broken bindings differ), or
-// an audit violation in any produced design. Empty means the paths
-// agree and every design is constraint-clean.
+// Disagreements returns a description per solver-contract breach
+// against the reference path (Verdicts[0]): a feasibility verdict
+// mismatch, a minimal-bus-count mismatch, an optimal-objective mismatch
+// (binding mode only — the exact paths must agree on the optimum even
+// when tie-broken bindings differ), or a capped design or audit
+// violation on any path. Empty means the paths agree and every design
+// is constraint-clean.
 func (o *DiffOutcome) Disagreements() []string {
 	var out []string
 	ref := o.Verdicts[0]
@@ -120,8 +118,7 @@ func Diff(ctx context.Context, c Case) (*DiffOutcome, error) {
 	}
 	out := &DiffOutcome{Case: c, Analysis: a}
 	for _, path := range Paths() {
-		opts := path.Configure(c.Opts)
-		d, err := core.DesignCrossbarCtx(ctx, a, opts)
+		d, err := path.Solve(ctx, a, c.Opts)
 		v := Verdict{Path: path.Name}
 		switch {
 		case err == nil:

@@ -37,10 +37,11 @@ func TestRandomTraceValid(t *testing.T) {
 }
 
 // TestDifferentialSolvers is the solver-agreement gate: ≥200 seeded
-// cases solved by the specialized assignment search, the warm MILP and
-// the legacy cold MILP must produce identical feasibility verdicts,
-// identical minimal bus counts, identical optimal objectives (binding
-// mode), and constraint-clean designs under the independent auditor.
+// cases solved by the exhaustive oracle, the specialized assignment
+// search, the warm MILP and the portfolio must produce identical
+// feasibility verdicts, identical minimal bus counts, identical optimal
+// objectives (binding mode), and constraint-clean designs under the
+// independent auditor.
 func TestDifferentialSolvers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential sweep skipped in -short mode")
@@ -65,7 +66,7 @@ func TestDifferentialSolvers(t *testing.T) {
 
 // TestDiffInfeasibleAgreement forces the infeasible verdict directly:
 // MaxBuses=1 with a guaranteed conflict leaves no feasible count, and
-// all three paths must say so.
+// every path must say so.
 func TestDiffInfeasibleAgreement(t *testing.T) {
 	c := RandomCase(3, DefaultGenParams())
 	// Rebuild a case that must be infeasible: two receivers that

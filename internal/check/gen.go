@@ -24,9 +24,10 @@ type GenParams struct {
 	CriticalFrac float64
 }
 
-// DefaultGenParams sizes cases so that even the cold MILP path solves
-// them in milliseconds, keeping a multi-hundred-case differential run
-// affordable in CI.
+// DefaultGenParams sizes cases so that the exhaustive oracle and the
+// MILP engine solve them in milliseconds, keeping a multi-hundred-case
+// differential run affordable in CI. MaxReceivers stays within
+// MaxExhaustiveReceivers.
 func DefaultGenParams() GenParams {
 	return GenParams{
 		MaxReceivers: 6,
@@ -86,7 +87,7 @@ type Case struct {
 
 // RandomCase derives a full problem from the seed: a random trace plus
 // randomized-but-valid methodology options spanning the knobs the
-// three solver paths must agree under — overlap threshold (including
+// solver paths must agree under — overlap threshold (including
 // disabled), critical separation, per-bus cap (including uncapped),
 // bus-range clamps (including infeasibly tight MaxBuses, to exercise
 // the infeasibility verdict), and both binding modes.

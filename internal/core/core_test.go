@@ -309,107 +309,6 @@ func TestDesignQuickAlwaysValid(t *testing.T) {
 	}
 }
 
-// bruteForce finds the true minimum bus count and optimal max overlap
-// by enumerating all assignments of up to nT receivers.
-func bruteForce(a *trace.Analysis, conflicts [][]bool, maxPerBus int) (minBuses int, bestOv int64) {
-	nT := a.NumReceivers
-	busOf := make([]int, nT)
-	feasibleWith := func(k int) bool { return enumerate(a, conflicts, maxPerBus, busOf, 0, k, nil) }
-	minBuses = -1
-	for k := 1; k <= nT; k++ {
-		if feasibleWith(k) {
-			minBuses = k
-			break
-		}
-	}
-	if minBuses == -1 {
-		return -1, 0
-	}
-	bestOv = int64(1) << 62
-	enumerate(a, conflicts, maxPerBus, busOf, 0, minBuses, func(assign []int) {
-		if ov := MaxOverlapOf(a, minBuses, assign); ov < bestOv {
-			bestOv = ov
-		}
-	})
-	return minBuses, bestOv
-}
-
-// enumerate walks all assignments into k buses that satisfy the
-// constraints; if visit is nil it returns true at the first one.
-func enumerate(a *trace.Analysis, conflicts [][]bool, maxPerBus int, busOf []int, idx, k int, visit func([]int)) bool {
-	nT := a.NumReceivers
-	if idx == nT {
-		if visit != nil {
-			visit(busOf)
-			return false
-		}
-		return true
-	}
-	for b := 0; b < k; b++ {
-		busOf[idx] = b
-		ok := true
-		cnt := 0
-		for r := 0; r <= idx; r++ {
-			if busOf[r] == b {
-				cnt++
-			}
-		}
-		if cnt > maxPerBus {
-			ok = false
-		}
-		for r := 0; r < idx && ok; r++ {
-			if busOf[r] == b && conflicts[r][idx] {
-				ok = false
-			}
-		}
-		for m := 0; m < a.NumWindows() && ok; m++ {
-			var load int64
-			for r := 0; r <= idx; r++ {
-				if busOf[r] == b {
-					load += a.Comm.At(r, m)
-				}
-			}
-			if load > a.WindowLen(m) {
-				ok = false
-			}
-		}
-		if ok && enumerate(a, conflicts, maxPerBus, busOf, idx+1, k, visit) {
-			return true
-		}
-	}
-	busOf[idx] = 0
-	return false
-}
-
-// TestDesignQuickMatchesBruteForce: the solver's bus count and optimal
-// overlap objective match exhaustive enumeration on small instances.
-func TestDesignQuickMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for iter := 0; iter < 25; iter++ {
-		nRecv := 2 + rng.Intn(4) // up to 5 receivers
-		a := randomAnalysis(t, rng, nRecv)
-		opts := Options{
-			OverlapThreshold: []float64{-1, 0.3, 0.5}[rng.Intn(3)],
-			SeparateCritical: true,
-			MaxPerBus:        2 + rng.Intn(3),
-			OptimizeBinding:  true,
-		}
-		conflicts := BuildConflicts(a, opts)
-		maxPerBus := opts.MaxPerBus
-		wantBuses, wantOv := bruteForce(a, conflicts, maxPerBus)
-		d, err := DesignCrossbar(a, opts)
-		if err != nil {
-			t.Fatalf("iter %d: %v", iter, err)
-		}
-		if d.NumBuses != wantBuses {
-			t.Errorf("iter %d: NumBuses = %d, brute force %d", iter, d.NumBuses, wantBuses)
-		}
-		if d.MaxBusOverlap != wantOv {
-			t.Errorf("iter %d: MaxBusOverlap = %d, brute force %d", iter, d.MaxBusOverlap, wantOv)
-		}
-	}
-}
-
 // TestEnginesAgree: the specialized solver and the literal MILP
 // formulation produce the same bus count and objective.
 func TestEnginesAgree(t *testing.T) {

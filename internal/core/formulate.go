@@ -12,36 +12,6 @@ import (
 	"repro/internal/trace"
 )
 
-// SymmetryLevel selects how aggressively the MILP formulation breaks
-// the interchangeability of buses. None of the levels is in the paper;
-// all are sound (they remove only permuted copies of solutions, never
-// the canonical representative), and because the binding objective
-// maxov is invariant under bus relabeling they are valid in binding
-// mode too.
-type SymmetryLevel int
-
-const (
-	// SymFull adds the weak rows plus, in binding (optimize) mode,
-	// canonical-ordering rows: receiver i may use bus k ≥ 1 only if
-	// some receiver j < i uses bus k−1. Under the canonical labeling
-	// (buses ordered by their minimal member, empty buses last) every
-	// feasible binding satisfies these rows, so exactly one
-	// representative of each orbit of the k! bus permutations
-	// survives. The canonical rows are deliberately NOT emitted for
-	// feasibility probes: an exhaustive optimality search profits from
-	// pruning symmetric subtrees, but a first-feasible dive only needs
-	// ANY solution, and on the benchprobs instances the extra rows
-	// slow the dive several-fold (12 receivers: 27 vs 6 nodes;
-	// 32 receivers: 35 vs 6). The default.
-	SymFull SymmetryLevel = iota
-	// SymWeak is the pre-incremental behavior: x_{i,k} = 0 for k > i
-	// (receiver i may only use buses 0..i).
-	SymWeak
-	// SymNone disables symmetry breaking entirely (the paper-literal
-	// formulation).
-	SymNone
-)
-
 // Formulation is the paper's MILP (Eq. 3–9, plus Eq. 11 in binding
 // mode) over a fixed bus count, expressed for the internal solver.
 // Variable layout:
@@ -82,7 +52,6 @@ type Formulator struct {
 	a         *trace.Analysis
 	conflicts [][]bool
 	maxPerBus int
-	symmetry  SymmetryLevel
 
 	onceWindows sync.Once
 	keep        []int
@@ -96,8 +65,8 @@ type Formulator struct {
 // NewFormulator prepares the shared skeleton for the given analysis
 // and conflict matrix. The heavy parts are computed lazily on first
 // use and reused by every subsequent ForBusCount call.
-func NewFormulator(a *trace.Analysis, conflicts [][]bool, maxPerBus int, symmetry SymmetryLevel) *Formulator {
-	return &Formulator{a: a, conflicts: conflicts, maxPerBus: maxPerBus, symmetry: symmetry}
+func NewFormulator(a *trace.Analysis, conflicts [][]bool, maxPerBus int) *Formulator {
+	return &Formulator{a: a, conflicts: conflicts, maxPerBus: maxPerBus}
 }
 
 func (f *Formulator) windows() []int {
@@ -246,24 +215,28 @@ func (f *Formulator) ForBusCount(numBuses int, optimize bool) *Formulation {
 		}
 	}
 
-	// Symmetry breaking (buses are interchangeable; see SymmetryLevel).
-	if f.symmetry != SymNone {
-		// Weak rows: receiver i may only use buses 0..i.
-		for i := 0; i < nT && i < nB; i++ {
-			for k := i + 1; k < nB; k++ {
-				prob.LP.AddConstraint(lp.EQ, 0, lp.Term{Var: x(i, k), Coef: 1})
-			}
+	// Symmetry breaking. None of these rows is in the paper; all are
+	// sound: buses are interchangeable, the rows remove only permuted
+	// copies of solutions, and the maxov objective is invariant under
+	// bus relabeling. Weak rows: receiver i may only use buses 0..i.
+	for i := 0; i < nT && i < nB; i++ {
+		for k := i + 1; k < nB; k++ {
+			prob.LP.AddConstraint(lp.EQ, 0, lp.Term{Var: x(i, k), Coef: 1})
 		}
 	}
-	if f.symmetry == SymFull && optimize {
+	if optimize {
 		// Canonical-ordering rows: x_{i,k} ≤ Σ_{j<i} x_{j,k−1} for
 		// k ≥ 1 — bus k may only be opened by receiver i if bus k−1
 		// was opened by an earlier receiver. Together with the weak
 		// rows this admits exactly the bindings whose buses are
 		// labeled in order of their minimal member (empty buses last),
-		// one representative per permutation orbit. Relabeling
-		// preserves feasibility and the maxov objective, so neither
-		// mode loses its optimum.
+		// one representative per permutation orbit. They are
+		// deliberately NOT emitted for feasibility probes: an
+		// exhaustive optimality search profits from pruning symmetric
+		// subtrees, but a first-feasible dive only needs ANY solution,
+		// and on the benchprobs instances the extra rows slow the dive
+		// several-fold (12 receivers: 27 vs 6 nodes; 32 receivers: 35
+		// vs 6).
 		for i := 1; i < nT; i++ {
 			for k := 1; k < nB && k <= i; k++ {
 				terms := []lp.Term{{Var: x(i, k), Coef: 1}}
@@ -342,12 +315,11 @@ func (f *Formulation) Inject(busOf []int) ([]float64, error) {
 	return x, nil
 }
 
-// Formulate builds the MILP for one candidate bus count with the
-// default symmetry level. Callers that probe several bus counts for
+// Formulate builds the MILP for one candidate bus count. Callers that probe several bus counts for
 // the same analysis should construct a Formulator once and use
 // ForBusCount, which reuses the analysis-dependent skeleton.
 func Formulate(a *trace.Analysis, conflicts [][]bool, numBuses, maxPerBus int, optimize bool) *Formulation {
-	return NewFormulator(a, conflicts, maxPerBus, SymFull).ForBusCount(numBuses, optimize)
+	return NewFormulator(a, conflicts, maxPerBus).ForBusCount(numBuses, optimize)
 }
 
 // Extract reads the receiver→bus binding out of a MILP solution.
@@ -402,6 +374,6 @@ func solveFormulated(ctx context.Context, fr *Formulator, numBuses int, optimize
 // a fresh Formulator — the compatibility entry point for callers that
 // probe a single count.
 func solveMILP(ctx context.Context, a *trace.Analysis, conflicts [][]bool, numBuses, maxPerBus int, optimize bool) (*assignResult, error) {
-	fr := NewFormulator(a, conflicts, maxPerBus, SymFull)
+	fr := NewFormulator(a, conflicts, maxPerBus)
 	return solveFormulated(ctx, fr, numBuses, optimize, milp.Options{})
 }

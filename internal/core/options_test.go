@@ -62,3 +62,37 @@ func TestDesignRejectsInvalidOptions(t *testing.T) {
 		}
 	}
 }
+
+// TestOptionsFingerprintPinned pins the option-fingerprint bytes of
+// DefaultOptions and of one option set per engine. The fingerprint
+// keys the persistent design cache, so a layout change must bump
+// optionsFPTag (and update these values) rather than silently re-key
+// or, worse, alias cache entries.
+func TestOptionsFingerprintPinned(t *testing.T) {
+	milpOpts := DefaultOptions()
+	milpOpts.Engine = EngineMILP
+	milpOpts.OptimizeBinding = false
+	annealOpts := DefaultOptions()
+	annealOpts.Engine = EngineAnneal
+	annealOpts.OverlapThreshold = -0.5 // canonicalized to -1
+	annealOpts.MaxPerBus = 0
+	portfolioOpts := DefaultOptions()
+	portfolioOpts.Engine = EnginePortfolio
+	portfolioOpts.SeparateCritical = false
+	portfolioOpts.MinBuses, portfolioOpts.MaxBuses = 2, 6
+
+	for _, tc := range []struct {
+		name string
+		opts Options
+		want string
+	}{
+		{"default", DefaultOptions(), "a64005668adc49448d37ba1577ecd988d0507ca13e4247fe588da35489fa3426"},
+		{"milp", milpOpts, "b0b808e1144407af540d46f935e5328a1f3d4e76d5b82f86bd70d37a6273d66d"},
+		{"anneal", annealOpts, "50917880e6884483632d9576c7f729adde0724d4293b8f225f4a89c4c366cd9b"},
+		{"portfolio", portfolioOpts, "cacfa06e6a05d3adc6fe191d5966c332e038f20eb31ad613580952090681b07d"},
+	} {
+		if got := tc.opts.Fingerprint().String(); got != tc.want {
+			t.Errorf("%s: fingerprint %s, pinned %s", tc.name, got, tc.want)
+		}
+	}
+}

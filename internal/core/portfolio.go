@@ -65,7 +65,7 @@ type portfolio struct {
 func newPortfolio(prob *assignProblem, a *trace.Analysis, conflicts [][]bool, maxPerBus, workers int) *portfolio {
 	return &portfolio{
 		prob:      prob,
-		fr:        NewFormulator(a, conflicts, maxPerBus, SymFull),
+		fr:        NewFormulator(a, conflicts, maxPerBus),
 		a:         a,
 		conflicts: conflicts,
 		maxPerBus: maxPerBus,

@@ -10,23 +10,15 @@ import (
 )
 
 // The solver benchmarks measure the MILP hot path on the deterministic
-// benchprobs instances. "Legacy" is the pre-incremental configuration —
-// a cold two-phase LP solve per node and weak symmetry breaking only —
-// kept callable through milp.Options.Cold and SymWeak; the default
-// configuration warm-starts every node from its parent's basis and adds
-// the canonical-ordering symmetry rows.
-//
-// The 32-receiver feasibility instance (the STbus architectural
-// maximum) has no legacy benchmark: the legacy path does not finish
-// even its root LP relaxation within tens of minutes there, which is
-// the gap the incremental solver exists to close. cmd/solverbench runs
-// the same cases and records them in BENCH_solver.json.
+// benchprobs instances: every node warm-starts from its parent's basis,
+// and binding mode adds the canonical-ordering symmetry rows.
+// cmd/solverbench runs the same cases and records them in
+// BENCH_solver.json.
 
-func benchFeasibility(b *testing.B, a *trace.Analysis, numBuses int, sym SymmetryLevel, opts milp.Options) {
+func benchFeasibility(b *testing.B, a *trace.Analysis, numBuses int) {
 	conflicts := BuildConflicts(a, DefaultOptions())
-	fr := NewFormulator(a, conflicts, 4, sym)
-	f := fr.ForBusCount(numBuses, false)
-	opts.FirstFeasible = true
+	f := NewFormulator(a, conflicts, 4).ForBusCount(numBuses, false)
+	opts := milp.Options{FirstFeasible: true}
 	b.ResetTimer()
 	var nodes, warm, pivots int64
 	for i := 0; i < b.N; i++ {
@@ -43,41 +35,35 @@ func benchFeasibility(b *testing.B, a *trace.Analysis, numBuses int, sym Symmetr
 	b.ReportMetric(float64(pivots)/float64(b.N), "dualpivots/op")
 }
 
-// BenchmarkMILPFeasible12Legacy is the before state on the 12-receiver
-// instance: cold node solves, weak symmetry rows.
-func BenchmarkMILPFeasible12Legacy(b *testing.B) {
-	benchFeasibility(b, benchprobs.Analysis12(), 4, SymWeak, milp.Options{Cold: true})
-}
-
-// BenchmarkMILPFeasible12Warm is the shipped configuration: the
-// incremental warm-started node solver. (In feasibility mode SymFull
-// emits the same rows as SymWeak — canonical ordering only applies to
-// the optimize-mode search — so this also isolates the solver effect.)
+// BenchmarkMILPFeasible12Warm solves the 12-receiver feasibility MILP
+// with the incremental warm-started node solver.
 func BenchmarkMILPFeasible12Warm(b *testing.B) {
-	benchFeasibility(b, benchprobs.Analysis12(), 4, SymFull, milp.Options{})
+	benchFeasibility(b, benchprobs.Analysis12(), 4)
 }
 
 // BenchmarkMILPFeasible32Warm solves the 32-receiver feasibility MILP
-// at its first feasible bus count — the instance the legacy path
-// cannot finish at all.
+// at its first feasible bus count (32 targets is the STbus
+// architectural maximum).
 func BenchmarkMILPFeasible32Warm(b *testing.B) {
-	benchFeasibility(b, benchprobs.Analysis32(), 12, SymFull, milp.Options{})
+	benchFeasibility(b, benchprobs.Analysis32(), 12)
 }
 
 // BenchmarkMILPInfeasible32Root measures the fast-rejection path: one
 // bus short of any conflict-free packing, proven infeasible at the root
 // relaxation without branching.
 func BenchmarkMILPInfeasible32Root(b *testing.B) {
-	benchFeasibility(b, benchprobs.Analysis32(), 8, SymFull, milp.Options{})
+	benchFeasibility(b, benchprobs.Analysis32(), 8)
 }
 
-func benchBinding(b *testing.B, sym SymmetryLevel, opts milp.Options) {
+// BenchmarkMILPBinding8Warm exercises optimize mode (the exact binding
+// MILP of Eq. 9–11) end to end.
+func BenchmarkMILPBinding8Warm(b *testing.B) {
 	a := benchprobs.Analysis8()
 	conflicts := BuildConflicts(a, DefaultOptions())
-	fr := NewFormulator(a, conflicts, 4, sym)
+	fr := NewFormulator(a, conflicts, 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := solveFormulated(context.Background(), fr, 3, true, opts)
+		res, err := solveFormulated(context.Background(), fr, 3, true, milp.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -85,17 +71,4 @@ func benchBinding(b *testing.B, sym SymmetryLevel, opts milp.Options) {
 			b.Fatal("binding instance became infeasible")
 		}
 	}
-}
-
-// BenchmarkMILPBinding8Legacy / BenchmarkMILPBinding8Warm exercise
-// optimize mode (the exact binding MILP of Eq. 9–11) end to end. The
-// binding objective keeps even the legacy LPs guided, so the warm-start
-// gain here is a constant factor, not the orders of magnitude of the
-// objective-free feasibility probes.
-func BenchmarkMILPBinding8Legacy(b *testing.B) {
-	benchBinding(b, SymWeak, milp.Options{Cold: true})
-}
-
-func BenchmarkMILPBinding8Warm(b *testing.B) {
-	benchBinding(b, SymFull, milp.Options{})
 }

@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// fixProblem folds a fix set into a fresh Problem the way the legacy
-// MILP node solver does: fixed variables keep their column but are
-// pinned by equality rows. This gives an independent reference for
-// what NodeSolver should compute.
+// fixProblem folds a fix set into a fresh Problem: fixed variables
+// keep their column but are pinned by equality rows. Solved by
+// SolveBounded, this gives an independent reference for what
+// NodeSolver should compute.
 func fixProblem(p *Problem, upper []float64, fixes []Fix) (*Problem, []float64) {
 	q := &Problem{NumVars: p.NumVars, Objective: p.Objective}
 	q.Constraints = append(q.Constraints, p.Constraints...)

@@ -7,13 +7,11 @@
 // continuous maxov objective variable.
 //
 // Binary bounds are enforced by the bounded-variable simplex (no
-// explicit 0/1 rows). The default search keeps one lp.NodeSolver for
-// the whole tree: a node is the base problem plus a variable-fixing
+// explicit 0/1 rows). The search keeps one lp.NodeSolver for the
+// whole tree: a node is the base problem plus a variable-fixing
 // overlay, solved warm from the previous node's basis (dual-simplex
 // reoptimization) with scratch buffers reused throughout — no per-node
-// problem copies. The pre-incremental path, which rebuilds and re-solves
-// every node relaxation from scratch, is kept behind Options.Cold for
-// benchmarking and as an escape hatch.
+// problem copies.
 package milp
 
 import (
@@ -21,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/lp"
 	"repro/internal/obs"
@@ -40,7 +37,6 @@ var (
 	metLPIters    = obs.NewCounter("milp.lp_iterations")
 	metIncumbents = obs.NewCounter("milp.incumbents")
 	metSeeded     = obs.NewCounter("milp.seeded")
-	metRestarts   = obs.NewCounter("milp.snapshot_restarts")
 )
 
 // nodeSpanMask samples per-node tracing: with a Tracer attached, one
@@ -69,11 +65,6 @@ type Options struct {
 	// which both finds integral points quickly and keeps consecutive
 	// node LPs one fix apart so warm starts are cheap.
 	FirstFeasible bool
-	// Cold disables the incremental NodeSolver and runs the legacy
-	// path that rebuilds each node relaxation from scratch. It exists
-	// so benchmarks can measure the warm-start gain and as a fallback
-	// while comparing solver revisions.
-	Cold bool
 	// Incumbent optionally seeds the search with a known-feasible
 	// solution vector over all variables (len == NumVars), typically a
 	// cached solution of a nearby problem. It is validated against the
@@ -86,15 +77,6 @@ type Options struct {
 	// FirstFeasible mode a valid incumbent short-circuits the search
 	// entirely (any feasible point suffices).
 	Incumbent []float64
-	// SnapshotRestart (incremental path, best-first mode) snapshots the
-	// solver state after the root relaxation and restores it whenever
-	// the search pops a node that does not extend the previously solved
-	// node's fix chain, so every such solve warm-starts from the root
-	// basis plus a depth-sized diff instead of an unrelated sibling's
-	// basis. Sound for objective and status; the relaxation vertices —
-	// and hence branching order and the returned vector among ties —
-	// may differ from the default path, so it is off by default.
-	SnapshotRestart bool
 }
 
 // Solution is the result of a MILP solve.
@@ -105,7 +87,6 @@ type Solution struct {
 	Nodes     int // nodes explored
 	// WarmSolves / ColdSolves count how many node relaxations were
 	// solved by dual-simplex warm restart vs. a full two-phase solve.
-	// The legacy (Options.Cold) path reports every node as cold.
 	WarmSolves int64
 	ColdSolves int64
 	// DualPivots counts the dual-simplex pivots spent across all warm
@@ -119,14 +100,11 @@ type Solution struct {
 	Incumbents int64
 	// LPIterations totals the simplex basis changes (primal and dual
 	// pivots) across every node relaxation solve — the per-node work
-	// metric warm starts exist to shrink. Zero on the legacy
-	// (Options.Cold) path before any node completes.
+	// metric warm starts exist to shrink.
 	LPIterations int64
 	// Seeded reports that Options.Incumbent passed validation and
 	// bounded the search from the start.
 	Seeded bool
-	// Restarts counts root-snapshot restores (Options.SnapshotRestart).
-	Restarts int64
 }
 
 // ErrNodeLimit is returned when the node budget is exhausted before
@@ -159,9 +137,6 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Solution, error) 
 		maxNodes = 200000
 	}
 	metSolves.Inc()
-	if opts.Cold {
-		return solveLegacy(ctx, p, opts, maxNodes)
-	}
 	return solveIncremental(ctx, p, opts, maxNodes)
 }
 
@@ -185,8 +160,8 @@ func (c *chainFix) appendTo(buf []lp.Fix) []lp.Fix {
 	return buf
 }
 
-// solveIncremental is the default search: one NodeSolver reused for
-// every node, warm-started between consecutive solves.
+// solveIncremental is the search: one NodeSolver reused for every
+// node, warm-started between consecutive solves.
 func solveIncremental(ctx context.Context, p *Problem, opts Options, maxNodes int) (*Solution, error) {
 	n := p.LP.NumVars
 	upper := make([]float64, n)
@@ -226,7 +201,6 @@ func solveIncremental(ctx context.Context, p *Problem, opts Options, maxNodes in
 	seeded := false
 	var incumbents int64
 	var lpIters int64
-	var restarts int64
 	var lastWarm, lastCold, lastDual int64
 	var flushedNodes int
 	finish := func(s *Solution) *Solution {
@@ -237,7 +211,6 @@ func solveIncremental(ctx context.Context, p *Problem, opts Options, maxNodes in
 		s.Incumbents = incumbents
 		s.LPIterations = lpIters
 		s.Seeded = seeded
-		s.Restarts = restarts
 		solveSpan.SetInt("nodes", int64(nodes))
 		solveSpan.SetInt("warm", s.WarmSolves)
 		solveSpan.SetInt("cold", s.ColdSolves)
@@ -277,13 +250,6 @@ func solveIncremental(ctx context.Context, p *Problem, opts Options, maxNodes in
 		metDualPivots.Add(d - lastDual)
 		lastWarm, lastCold, lastDual = w, c, d
 	}
-	// Root-snapshot restarts (see Options.SnapshotRestart): remember the
-	// fix chain of the previously solved node so extension pops (a child
-	// right after its parent — the cheap warm-start case) skip the
-	// restore.
-	var rootSnap *lp.NodeState
-	var prevChain *chainFix
-	prevValid := false
 	for len(open) > 0 {
 		var cur node
 		if opts.FirstFeasible {
@@ -327,11 +293,6 @@ func solveIncremental(ctx context.Context, p *Problem, opts Options, maxNodes in
 			return nil, fmt.Errorf("%w after %d nodes: %w", ErrCanceled, nodes, err)
 		}
 
-		if opts.SnapshotRestart && rootSnap != nil && !(prevValid && cur.fixes != nil && cur.fixes.parent == prevChain) {
-			ns.Restore(rootSnap)
-			restarts++
-			metRestarts.Inc()
-		}
 		var nodeSpan *obs.Span
 		if tracer != nil && nodes&nodeSpanMask == 1 {
 			nodeSpan = obs.StartDetached(tracer, solveSpan, "milp.node")
@@ -350,10 +311,6 @@ func solveIncremental(ctx context.Context, p *Problem, opts Options, maxNodes in
 				return nil, fmt.Errorf("%w mid-node after %d nodes: %w", ErrCanceled, nodes, context.Cause(ctx))
 			}
 			return nil, err
-		}
-		prevChain, prevValid = cur.fixes, true
-		if opts.SnapshotRestart && rootSnap == nil && cur.fixes == nil {
-			rootSnap = ns.Snapshot()
 		}
 		lpIters += sol.Iterations
 		metLPIters.Add(sol.Iterations)
@@ -414,146 +371,6 @@ func solveIncremental(ctx context.Context, p *Problem, opts Options, maxNodes in
 	return finish(best), nil
 }
 
-// solveLegacy is the pre-incremental best-first search: every node
-// rebuilds a substituted copy of the LP and solves it cold.
-func solveLegacy(ctx context.Context, p *Problem, opts Options, maxNodes int) (*Solution, error) {
-	n := p.LP.NumVars
-	upper := make([]float64, n)
-	for v := 0; v < n; v++ {
-		if p.Binary[v] {
-			upper[v] = 1
-		} else {
-			upper[v] = math.Inf(1)
-		}
-	}
-
-	type node struct {
-		fixed map[int]float64
-		bound float64 // parent's LP relaxation objective
-	}
-	open := []node{{fixed: map[int]float64{}, bound: math.Inf(-1)}}
-
-	ctx, solveSpan := obs.Start(ctx, "milp.solve")
-	solveSpan.SetInt("vars", int64(n))
-	solveSpan.SetBool("first_feasible", opts.FirstFeasible)
-	solveSpan.SetStr("config", "legacy")
-	defer solveSpan.End()
-	rec := obs.FlightRecorderFrom(ctx)
-
-	var best *Solution
-	nodes := 0
-	maxDepth := 0
-	seeded := false
-	flushedNodes := 0
-	var incumbents, lpIters int64
-	finish := func(s *Solution) *Solution {
-		s.Nodes = nodes
-		s.ColdSolves = int64(nodes)
-		s.MaxDepth = maxDepth
-		s.Incumbents = incumbents
-		s.LPIterations = lpIters
-		s.Seeded = seeded
-		solveSpan.SetInt("nodes", int64(nodes))
-		solveSpan.SetInt("max_depth", int64(maxDepth))
-		solveSpan.SetStr("status", s.Status.String())
-		return s
-	}
-	if opts.Incumbent != nil {
-		if s := seedIncumbent(p, opts.Incumbent); s != nil {
-			best = s
-			seeded = true
-			metSeeded.Inc()
-			rec.Emit(obs.Event{Kind: obs.EvIncumbent, Val: int64(math.Round(best.Objective)), Who: "milp"})
-			solveSpan.SetBool("seeded", true)
-			if opts.FirstFeasible {
-				return finish(best), nil
-			}
-		}
-	}
-	for len(open) > 0 {
-		// Pop the node with the most promising bound (best-first).
-		bestIdx := 0
-		for i := range open {
-			if open[i].bound < open[bestIdx].bound {
-				bestIdx = i
-			}
-		}
-		cur := open[bestIdx]
-		open = append(open[:bestIdx], open[bestIdx+1:]...)
-
-		if best != nil && cur.bound >= best.Objective-1e-9 {
-			continue
-		}
-		nodes++
-		if d := len(cur.fixed); d > maxDepth {
-			maxDepth = d
-		}
-		metNodes.Inc()
-		metCold.Inc()
-		if nodes&255 == 0 {
-			rec.Emit(obs.Event{Kind: obs.EvNodes, Val: int64(nodes - flushedNodes), Who: "milp"})
-			flushedNodes = nodes
-		}
-		if nodes > maxNodes {
-			return nil, ErrNodeLimit
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("%w after %d nodes: %w", ErrCanceled, nodes, err)
-		}
-
-		sol, err := solveNode(&p.LP, upper, cur.fixed)
-		if err != nil {
-			return nil, err
-		}
-		lpIters += sol.Iterations
-		metLPIters.Add(sol.Iterations)
-		switch sol.Status {
-		case lp.Infeasible:
-			continue
-		case lp.Unbounded:
-			return finish(&Solution{Status: lp.Unbounded}), nil
-		}
-		if best != nil && sol.Objective >= best.Objective-1e-9 {
-			continue
-		}
-
-		branchVar := mostFractional(sol.X, p.Binary)
-		if branchVar == -1 {
-			rounded, ok, bv := roundBinaries(p, sol.X)
-			if ok {
-				cand := &Solution{Status: lp.Optimal, X: rounded, Objective: sol.Objective}
-				if best == nil || cand.Objective < best.Objective {
-					best = cand
-					incumbents++
-					metIncumbents.Inc()
-					rec.Emit(obs.Event{Kind: obs.EvIncumbent, Val: int64(math.Round(cand.Objective)), Who: "milp"})
-				}
-				if opts.FirstFeasible {
-					return finish(best), nil
-				}
-				continue
-			}
-			if bv == -1 {
-				continue
-			}
-			branchVar = bv
-		}
-		// Branch, trying the nearer value first.
-		for _, val := range []float64{math.Round(sol.X[branchVar]), 1 - math.Round(sol.X[branchVar])} {
-			child := node{fixed: make(map[int]float64, len(cur.fixed)+1), bound: sol.Objective}
-			for k, v := range cur.fixed {
-				child.fixed[k] = v
-			}
-			child.fixed[branchVar] = val
-			open = append(open, child)
-		}
-	}
-	if best == nil {
-		return finish(&Solution{Status: lp.Infeasible}), nil
-	}
-	return finish(best), nil
-}
-
 // seedIncumbent validates a caller-provided incumbent vector and turns
 // it into a starting best solution. The vector goes through the same
 // check as any candidate integral point (roundBinaries: integrality to
@@ -600,58 +417,6 @@ func mostFractional(x []float64, binary []bool) int {
 		}
 	}
 	return branchVar
-}
-
-// solveNode solves the LP relaxation with the given variables fixed,
-// by substituting them out of the constraints (the fixed variable's
-// column is folded into the RHS and its bound pinned to zero). The
-// returned solution is expressed over the original variables, with the
-// fixed values patched back in and the objective including their
-// contribution.
-func solveNode(base *lp.Problem, upper []float64, fixed map[int]float64) (*lp.Solution, error) {
-	if len(fixed) == 0 {
-		return lp.SolveBounded(base, upper)
-	}
-	sub := lp.Problem{
-		NumVars:     base.NumVars,
-		Objective:   base.Objective,
-		Constraints: make([]lp.Constraint, len(base.Constraints)),
-	}
-	for i, c := range base.Constraints {
-		rhs := c.RHS
-		terms := make([]lp.Term, 0, len(c.Terms))
-		for _, term := range c.Terms {
-			if v, ok := fixed[term.Var]; ok {
-				rhs -= term.Coef * v
-				continue
-			}
-			terms = append(terms, term)
-		}
-		sub.Constraints[i] = lp.Constraint{Terms: terms, Sense: c.Sense, RHS: rhs}
-	}
-	up := make([]float64, len(upper))
-	copy(up, upper)
-	var fixedObj float64
-	vars := make([]int, 0, len(fixed))
-	for v := range fixed {
-		vars = append(vars, v)
-	}
-	sort.Ints(vars)
-	for _, v := range vars {
-		up[v] = 0
-		if base.Objective != nil {
-			fixedObj += base.Objective[v] * fixed[v]
-		}
-	}
-	sol, err := lp.SolveBounded(&sub, up)
-	if err != nil || sol.Status != lp.Optimal {
-		return sol, err
-	}
-	for _, v := range vars {
-		sol.X[v] = fixed[v]
-	}
-	sol.Objective += fixedObj
-	return sol, nil
 }
 
 // roundBinaries snaps the near-integral binaries of a relaxation

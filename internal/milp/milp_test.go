@@ -120,49 +120,6 @@ func TestBinaryLengthMismatch(t *testing.T) {
 	}
 }
 
-// exhaustive solves a small pure-binary MILP by enumeration.
-func exhaustive(p *Problem) (bestObj float64, feasible bool) {
-	n := p.LP.NumVars
-	bestObj = math.Inf(1)
-	for mask := 0; mask < 1<<n; mask++ {
-		x := make([]float64, n)
-		for v := 0; v < n; v++ {
-			if mask&(1<<v) != 0 {
-				x[v] = 1
-			}
-		}
-		ok := true
-		for _, c := range p.LP.Constraints {
-			var lhs float64
-			for _, term := range c.Terms {
-				lhs += term.Coef * x[term.Var]
-			}
-			switch c.Sense {
-			case lp.LE:
-				ok = ok && lhs <= c.RHS+1e-9
-			case lp.GE:
-				ok = ok && lhs >= c.RHS-1e-9
-			case lp.EQ:
-				ok = ok && math.Abs(lhs-c.RHS) <= 1e-9
-			}
-		}
-		if !ok {
-			continue
-		}
-		var obj float64
-		for v := 0; v < n; v++ {
-			if p.LP.Objective != nil {
-				obj += p.LP.Objective[v] * x[v]
-			}
-		}
-		if obj < bestObj {
-			bestObj = obj
-			feasible = true
-		}
-	}
-	return bestObj, feasible
-}
-
 // Property: branch and bound agrees with exhaustive enumeration on
 // random small pure-binary problems.
 func TestQuickAgainstExhaustive(t *testing.T) {
@@ -190,7 +147,7 @@ func TestQuickAgainstExhaustive(t *testing.T) {
 			sense := []lp.Sense{lp.LE, lp.GE}[rng.Intn(2)]
 			p.LP.AddConstraint(sense, float64(rng.Intn(9)-4), terms...)
 		}
-		want, feasible := exhaustive(p)
+		want, _, feasible := bruteBest(p)
 		got, err := Solve(p, Options{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)

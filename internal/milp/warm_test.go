@@ -43,31 +43,32 @@ func randomMILP(rng *rand.Rand) *Problem {
 	return p
 }
 
-// TestWarmMatchesLegacy cross-checks the incremental warm-started
-// search against the legacy cold path on random MILPs: identical
-// status, and identical optimal objective (bindings may differ when
-// several optima exist). Both optimizing and first-feasible modes.
+// TestWarmMatchesLegacy cross-checks the warm-started search against
+// exhaustive enumeration (bruteBest) on random MILPs: identical status,
+// and identical optimal objective when optimizing (bindings may differ
+// when several optima exist). Both optimizing and first-feasible modes.
 func TestWarmMatchesLegacy(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		p := randomMILP(rng)
+		wantObj, _, feasible := bruteBest(p)
+		wantStatus := lp.Infeasible
+		if feasible {
+			wantStatus = lp.Optimal
+		}
 		for _, ff := range []bool{false, true} {
-			warm, errW := Solve(p, Options{FirstFeasible: ff})
-			cold, errC := Solve(p, Options{FirstFeasible: ff, Cold: true})
-			if (errW != nil) != (errC != nil) {
-				t.Fatalf("seed %d ff=%v: warm err=%v cold err=%v", seed, ff, errW, errC)
+			warm, err := Solve(p, Options{FirstFeasible: ff})
+			if err != nil {
+				t.Fatalf("seed %d ff=%v: %v", seed, ff, err)
 			}
-			if errW != nil {
-				continue
-			}
-			if warm.Status != cold.Status {
-				t.Fatalf("seed %d ff=%v: warm status %v, cold %v", seed, ff, warm.Status, cold.Status)
+			if warm.Status != wantStatus {
+				t.Fatalf("seed %d ff=%v: warm status %v, enumeration %v", seed, ff, warm.Status, wantStatus)
 			}
 			if warm.Status != lp.Optimal {
 				continue
 			}
-			if !ff && !approx(warm.Objective, cold.Objective) {
-				t.Fatalf("seed %d: warm objective %f, cold %f", seed, warm.Objective, cold.Objective)
+			if !ff && !approx(warm.Objective, wantObj) {
+				t.Fatalf("seed %d: warm objective %f, enumeration %f", seed, warm.Objective, wantObj)
 			}
 			// Whatever mode, the warm solution must satisfy the problem.
 			for ci, c := range p.LP.Constraints {
