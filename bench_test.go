@@ -10,6 +10,7 @@
 package stbusgen_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -141,7 +142,7 @@ func BenchmarkDesignMILP(b *testing.B) {
 			})
 		}
 	}
-	a, err := trace.Analyze(tr, 200)
+	a, err := trace.AnalyzeCtx(context.Background(), tr, 200)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -221,7 +222,7 @@ func BenchmarkWindowAnalysis(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := trace.Analyze(res.ReqTrace, app.WindowSize); err != nil {
+		if _, err := trace.AnalyzeCtx(context.Background(), res.ReqTrace, app.WindowSize); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -10,8 +10,8 @@
 // trace.AnalyzeLegacy), "sweep" is the single-pass sweep-line kernel
 // that replaced it, "stream" is the same kernel fed the binary trace
 // encoding through trace.AnalyzeReader without materializing the event
-// slice, and — on the ≥1M-event cases — "sharded-N" runs the parallel
-// sharded driver (trace.AnalyzeSharded) at N shards. Before timing
+// slice, and — on the ≥1M-event cases — "sharded-N" runs the same
+// driver split into N parallel shards (trace.AnalyzeTrace). Before timing
 // anything, every case's outputs are cross-checked bit-identical; a
 // mismatch aborts the run.
 //
@@ -58,7 +58,7 @@ type caseResult struct {
 	NsPerOp     int64   `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
-	MEventsPerS float64 `json:"mevents_per_sec,omitempty"`
+	MEventsPerS float64 `json:"mevents_per_sec,omitempty"` // implied: events / (plan + slowest shard + merge)
 	Skipped     bool    `json:"skipped,omitempty"`
 	Note        string  `json:"note,omitempty"`
 }
@@ -141,7 +141,7 @@ func run(ctx context.Context) error {
 
 			// Equivalence gate before timing: all three paths must
 			// produce bit-identical analyses on this exact case.
-			sweep, err := trace.Analyze(tr, ws)
+			sweep, err := trace.AnalyzeCtx(ctx, tr, ws)
 			if err != nil {
 				return fmt.Errorf("%s: sweep: %w", name, err)
 			}
@@ -154,7 +154,7 @@ func run(ctx context.Context) error {
 				return fmt.Errorf("%s: sweep vs stream disagree:\n%s", name, strings.Join(diffs, "\n"))
 			}
 			if !legacyTooBig {
-				legacy, err := trace.AnalyzeLegacy(tr, ws)
+				legacy, err := trace.AnalyzeLegacy(ctx, tr, trace.Windows{Size: ws})
 				if err != nil {
 					return fmt.Errorf("%s: legacy: %w", name, err)
 				}
@@ -171,12 +171,12 @@ func run(ctx context.Context) error {
 				})
 			} else {
 				add(benchCase(name, "legacy", tr, nW, func() error {
-					_, err := trace.AnalyzeLegacy(tr, ws)
+					_, err := trace.AnalyzeLegacy(ctx, tr, trace.Windows{Size: ws})
 					return err
 				}))
 			}
 			add(benchCase(name, "sweep", tr, nW, func() error {
-				_, err := trace.Analyze(tr, ws)
+				_, err := trace.AnalyzeCtx(ctx, tr, ws)
 				return err
 			}))
 			add(benchCase(name, "stream", tr, nW, func() error {
@@ -186,16 +186,17 @@ func run(ctx context.Context) error {
 
 			// Sharded driver at the sizes where partitioning pays.
 			// Each count is equivalence-gated, then timed; one
-			// instrumented run per count reports the parallel
-			// wall-clock throughput (slowest shard) and split costs.
+			// instrumented run per count reports the implied
+			// throughput (plan + slowest shard + merge, as if each
+			// shard had its own core) and the split costs.
 			if events >= 1_000_000 {
-				want, err := trace.Analyze(tr, ws)
+				want, err := trace.AnalyzeCtx(ctx, tr, ws)
 				if err != nil {
 					return fmt.Errorf("%s: sweep: %w", name, err)
 				}
 				for _, n := range shardCounts() {
 					var stats trace.ShardStats
-					sharded, err := trace.AnalyzeShardedCtx(ctx, tr, ws, n, &stats)
+					sharded, err := trace.AnalyzeTrace(ctx, tr, trace.Windows{Size: ws}, n, &stats)
 					if err != nil {
 						return fmt.Errorf("%s: sharded-%d: %w", name, n, err)
 					}
@@ -203,7 +204,7 @@ func run(ctx context.Context) error {
 						return fmt.Errorf("%s: sweep vs sharded-%d disagree:\n%s", name, n, strings.Join(diffs, "\n"))
 					}
 					c := benchCase(name, fmt.Sprintf("sharded-%d", n), tr, nW, func() error {
-						_, err := trace.AnalyzeSharded(tr, ws, n, nil)
+						_, err := trace.AnalyzeTrace(ctx, tr, trace.Windows{Size: ws}, n, nil)
 						return err
 					})
 					c.Shards = len(stats.Shards)

@@ -175,7 +175,7 @@ func benchDesign(ctx context.Context, name, config string, a *trace.Analysis, op
 // full cold search, pinning the fallback path's cost too.
 func deltaCases(ctx context.Context, add func(caseResult)) error {
 	tr := benchprobs.DeltaTrace32()
-	baseA, err := trace.Analyze(tr, benchprobs.AnalysisWindow)
+	baseA, err := trace.AnalyzeCtx(context.Background(), tr, benchprobs.AnalysisWindow)
 	if err != nil {
 		return err
 	}
@@ -206,7 +206,7 @@ func deltaCases(ctx context.Context, add func(caseResult)) error {
 		{0.05, "delta-32rx-5pct"},
 		{0.20, "delta-32rx-20pct"},
 	} {
-		pa, err := trace.Analyze(benchprobs.PerturbTrace(tr, d.frac, 7), benchprobs.AnalysisWindow)
+		pa, err := trace.AnalyzeCtx(context.Background(), benchprobs.PerturbTrace(tr, d.frac, 7), benchprobs.AnalysisWindow)
 		if err != nil {
 			return err
 		}

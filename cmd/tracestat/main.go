@@ -181,7 +181,7 @@ func runStream(ctx context.Context, f *os.File, path string) error {
 	fmt.Printf("streamed analysis: %d receivers, %d windows of %d cycles\n",
 		a.NumReceivers, nW, *window)
 	if n := len(stats.Shards); n > 0 {
-		fmt.Printf("shards: %d (plan %.2fms, merge %.2fms), %.1fM events/s aggregate\n",
+		fmt.Printf("shards: %d (plan %.2fms, merge %.2fms), %.1fM events/s implied (plan + slowest shard + merge)\n",
 			n, float64(stats.PlanNS)/1e6, float64(stats.MergeNS)/1e6, stats.EventsPerSec()/1e6)
 		for s, st := range stats.Shards {
 			rate := 0.0

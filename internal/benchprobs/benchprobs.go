@@ -9,6 +9,7 @@
 package benchprobs
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -136,7 +137,7 @@ func ScaledWindow(tr *trace.Trace) int64 {
 
 func analysisN(n int) *trace.Analysis {
 	tr := traceN(n)
-	a, err := trace.Analyze(tr, analysisWindow)
+	a, err := trace.AnalyzeCtx(context.TODO(), tr, analysisWindow)
 	if err != nil {
 		panic(fmt.Sprintf("benchprobs: %v", err))
 	}
@@ -213,7 +214,7 @@ func analysisLarge(n int) *trace.Analysis {
 			tr.Events = append(tr.Events, trace.Event{Start: w*analysisWindow + off, Len: l, Receiver: r})
 		}
 	}
-	a, err := trace.Analyze(tr, analysisWindow)
+	a, err := trace.AnalyzeCtx(context.TODO(), tr, analysisWindow)
 	if err != nil {
 		panic(fmt.Sprintf("benchprobs: %v", err))
 	}

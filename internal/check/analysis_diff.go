@@ -28,7 +28,7 @@ func AnalysisGenParams() GenParams {
 }
 
 // AnalysisDiff runs one random trace through the analysis paths —
-// the sweep-line kernel (the Analyze default), the retained legacy
+// the sweep-line kernel (the AnalyzeCtx single pass), the retained legacy
 // pairwise kernel, the streaming reader fed the binary encoding of
 // a start-sorted copy, and the sharded driver over the columnar v2
 // byte image at a seed-drawn shard count — and returns a description
@@ -53,7 +53,7 @@ func AnalysisDiff(ctx context.Context, seed int64, p GenParams) ([]string, error
 	if err != nil {
 		return nil, fmt.Errorf("check: case %d: sweep kernel: %w", seed, err)
 	}
-	legacy, err := trace.AnalyzeLegacyCtx(ctx, tr, ws)
+	legacy, err := trace.AnalyzeLegacy(ctx, tr, trace.Windows{Size: ws})
 	if err != nil {
 		return nil, fmt.Errorf("check: case %d: legacy kernel: %w", seed, err)
 	}
@@ -77,11 +77,11 @@ func AnalysisDiff(ctx context.Context, seed int64, p GenParams) ([]string, error
 		if err != nil {
 			return nil, fmt.Errorf("check: case %d: adaptive boundaries: %w", seed, err)
 		}
-		got, err := trace.AnalyzeWithBoundariesCtx(ctx, tr, bs)
+		got, err := trace.AnalyzeTrace(ctx, tr, trace.Windows{Edges: bs}, 1, nil)
 		if err != nil {
 			return nil, fmt.Errorf("check: case %d: sweep kernel (adaptive): %w", seed, err)
 		}
-		want, err := trace.AnalyzeLegacyWithBoundariesCtx(ctx, tr, bs)
+		want, err := trace.AnalyzeLegacy(ctx, tr, trace.Windows{Edges: bs})
 		if err != nil {
 			return nil, fmt.Errorf("check: case %d: legacy kernel (adaptive): %w", seed, err)
 		}
@@ -113,7 +113,7 @@ func analyzeShardedV2(ctx context.Context, tr *trace.Trace, ws int64, shards int
 	if err := trace.WriteBinaryV2(&buf, tr); err != nil {
 		return nil, err
 	}
-	return trace.AnalyzeBytesSharded(ctx, buf.Bytes(), ws, shards, nil)
+	return trace.AnalyzeImage(ctx, buf.Bytes(), trace.Windows{Size: ws}, shards, nil)
 }
 
 // analyzeStreamed encodes a start-sorted copy of the trace in the

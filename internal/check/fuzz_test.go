@@ -65,9 +65,9 @@ func FuzzDesignTrace(f *testing.F) {
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("decoder produced an invalid trace: %v", err)
 		}
-		a, err := trace.Analyze(tr, ws)
+		a, err := trace.AnalyzeCtx(context.Background(), tr, ws)
 		if err != nil {
-			t.Fatalf("Analyze rejected a valid problem: %v", err)
+			t.Fatalf("AnalyzeCtx rejected a valid problem: %v", err)
 		}
 		d, err := core.DesignCrossbarCtx(context.Background(), a, opts)
 		if err != nil {

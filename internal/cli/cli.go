@@ -223,10 +223,10 @@ func Workers() int { return *workersFlag }
 
 // The trace-analysis shard count, registered at package init like
 // -workers: one definition, every tool. Tools pass Shards() into the
-// trace.AnalyzeSharded family, where 0 resolves to one shard per CPU
-// core. The sharded driver is bit-identical to the single-pass sweep
-// at every shard count, so the flag trades wall clock and peak memory
-// only — never the analysis.
+// trace analysis entry points that take a shard count (AnalyzeTrace,
+// AnalyzeImage, AnalyzeFileSharded), where 0 resolves to one shard per
+// CPU core. The analysis is bit-identical at every shard count, so the
+// flag trades wall clock and peak memory only — never the analysis.
 var shardsFlag = flag.Int("shards", 0, "trace-analysis shards (0 = one per CPU core); the analysis is identical at any setting")
 
 // Shards reports the -shards flag for tools to pass into the sharded

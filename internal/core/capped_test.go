@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -22,7 +23,7 @@ func cappedAnalysis(t *testing.T) *trace.Analysis {
 			trace.Event{Start: 0, Len: 20 + 2*int64(r), Sender: 0, Receiver: r},
 		)
 	}
-	a, err := trace.Analyze(tr, 100)
+	a, err := trace.AnalyzeCtx(context.Background(), tr, 100)
 	if err != nil {
 		t.Fatal(err)
 	}

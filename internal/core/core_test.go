@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -17,7 +18,7 @@ func mkAnalysis(t *testing.T, nRecv int, horizon, ws int64, events []trace.Event
 		Horizon:      horizon,
 		Events:       events,
 	}
-	a, err := trace.Analyze(tr, ws)
+	a, err := trace.AnalyzeCtx(context.Background(), tr, ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestDesignWindowVsSingleWindow(t *testing.T) {
 	}
 	tr := &trace.Trace{NumReceivers: 2, NumSenders: 1, Horizon: 1000, Events: events}
 
-	windowed, err := trace.Analyze(tr, 100)
+	windowed, err := trace.AnalyzeCtx(context.Background(), tr, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +171,7 @@ func TestDesignWindowVsSingleWindow(t *testing.T) {
 		t.Errorf("windowed design: NumBuses = %d, want 2", dWin.NumBuses)
 	}
 
-	avg, err := trace.SingleWindow(tr)
+	avg, err := trace.AnalyzeTrace(context.Background(), tr, trace.Windows{Size: tr.Horizon}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

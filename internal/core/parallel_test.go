@@ -50,7 +50,7 @@ func TestSolveParallelBitIdentical(t *testing.T) {
 	}
 	for seed := int64(1); seed <= 3; seed++ {
 		tr := benchprobs.PerturbTrace(benchprobs.TraceN(12), 0.3, seed)
-		a, err := trace.Analyze(tr, benchprobs.AnalysisWindow)
+		a, err := trace.AnalyzeCtx(context.Background(), tr, benchprobs.AnalysisWindow)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -61,11 +61,11 @@ func AdaptiveCtx(ctx context.Context, seed int64) ([]AdaptiveRow, error) {
 
 		// Adaptive windows between 1× and 4× the recommended size,
 		// aligned to burst onsets.
-		aReq, err := trace.AnalyzeAdaptive(run.Full.ReqTrace, app.WindowSize, 4*app.WindowSize)
+		aReq, err := analyzeAdaptive(ctx, run.Full.ReqTrace, app.WindowSize)
 		if err != nil {
 			return err
 		}
-		aResp, err := trace.AnalyzeAdaptive(run.Full.RespTrace, app.WindowSize, 4*app.WindowSize)
+		aResp, err := analyzeAdaptive(ctx, run.Full.RespTrace, app.WindowSize)
 		if err != nil {
 			return err
 		}
@@ -109,4 +109,14 @@ func AdaptiveReport(rows []AdaptiveRow) *report.Table {
 		t.AddRow(r.App, r.FixedWindows, r.FixedBuses, r.FixedAvgLat, r.AdaptWindows, r.AdaptBuses, r.AdaptAvgLat, r.FullAvgLat)
 	}
 	return t
+}
+
+// analyzeAdaptive analyzes a trace on onset-aligned windows between ws
+// and 4·ws cycles (trace.AdaptiveBoundaries).
+func analyzeAdaptive(ctx context.Context, tr *trace.Trace, ws int64) (*trace.Analysis, error) {
+	edges, err := trace.AdaptiveBoundaries(tr, ws, 4*ws)
+	if err != nil {
+		return nil, err
+	}
+	return trace.AnalyzeTrace(ctx, tr, trace.Windows{Edges: edges}, 1, nil)
 }

@@ -16,8 +16,8 @@ import (
 // two, which is what makes fixed windows conservative. Candidates
 // closer than minWS to the previous boundary are dropped, and windows
 // longer than maxWS are split evenly. The result always starts at 0,
-// ends at the horizon, and is strictly increasing — directly usable
-// with AnalyzeWithBoundaries.
+// ends at the horizon, and is strictly increasing — directly usable as
+// the Edges of a window plan.
 func AdaptiveBoundaries(tr *Trace, minWS, maxWS int64) ([]int64, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, err
@@ -107,14 +107,4 @@ func AdaptiveBoundaries(tr *Trace, minWS, maxWS int64) ([]int64, error) {
 		}
 	}
 	return boundaries, nil
-}
-
-// AnalyzeAdaptive runs the window analysis on adaptively derived
-// variable-size windows.
-func AnalyzeAdaptive(tr *Trace, minWS, maxWS int64) (*Analysis, error) {
-	boundaries, err := AdaptiveBoundaries(tr, minWS, maxWS)
-	if err != nil {
-		return nil, err
-	}
-	return AnalyzeWithBoundaries(tr, boundaries)
 }

@@ -1,8 +1,8 @@
 package trace_test
 
-// The adaptive-window analysis (AnalyzeAdaptive, and explicit edges via
-// AnalyzeWithBoundaries) now runs on the sweep-line kernel. These tests
-// pin it to the retained legacy pairwise kernel, bit for bit, on the
+// The adaptive-window analysis (AdaptiveBoundaries edges as a window
+// plan) runs on the sweep-line driver. These tests pin it to the
+// retained legacy pairwise kernel, bit for bit, on the
 // deterministic benchmark problem set — variable-size windows are the
 // irregular-boundary case the sweep's monotone window cursor has to get
 // exactly right.
@@ -38,20 +38,20 @@ func TestAdaptiveBoundariesInvariants(t *testing.T) {
 	}
 }
 
-func TestAnalyzeAdaptiveMatchesLegacy(t *testing.T) {
+func TestAdaptiveEdgesMatchLegacy(t *testing.T) {
 	for _, n := range []int{8, 12, 32} {
 		tr := benchprobs.TraceN(n)
 		for _, span := range [][2]int64{{50, 400}, {100, 1000}, {400, 4000}} {
 			minWS, maxWS := span[0], span[1]
-			got, err := trace.AnalyzeAdaptive(tr, minWS, maxWS)
-			if err != nil {
-				t.Fatalf("AnalyzeAdaptive(n=%d, %d, %d): %v", n, minWS, maxWS, err)
-			}
 			bs, err := trace.AdaptiveBoundaries(tr, minWS, maxWS)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := trace.AnalyzeLegacyWithBoundariesCtx(context.Background(), tr, bs)
+			got, err := trace.AnalyzeTrace(context.Background(), tr, trace.Windows{Edges: bs}, 1, nil)
+			if err != nil {
+				t.Fatalf("adaptive analysis (n=%d, %d, %d): %v", n, minWS, maxWS, err)
+			}
+			want, err := trace.AnalyzeLegacy(context.Background(), tr, trace.Windows{Edges: bs})
 			if err != nil {
 				t.Fatalf("legacy kernel on adaptive boundaries: %v", err)
 			}
@@ -63,14 +63,16 @@ func TestAnalyzeAdaptiveMatchesLegacy(t *testing.T) {
 	}
 }
 
-// TestAnalyzeAdaptiveTightensFixed reproduces the point of the adaptive
-// extension on the benchmark set: onset-aligned windows should never
-// report a higher peak load than fixed windows of the maximum size, and
-// the analysis stays self-consistent (every overlap bounded by the
-// participating Comm entries).
-func TestAnalyzeAdaptiveSelfConsistent(t *testing.T) {
+// TestAdaptiveEdgesSelfConsistent checks the analysis on onset-aligned
+// windows of the benchmark set stays self-consistent: every overlap is
+// bounded by the participating Comm entries.
+func TestAdaptiveEdgesSelfConsistent(t *testing.T) {
 	tr := benchprobs.TraceN(12)
-	a, err := trace.AnalyzeAdaptive(tr, 100, 1000)
+	bs, err := trace.AdaptiveBoundaries(tr, 100, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := trace.AnalyzeTrace(context.Background(), tr, trace.Windows{Edges: bs}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

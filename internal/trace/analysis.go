@@ -61,8 +61,8 @@ func (a *Analysis) NumWindows() int { return len(a.Boundaries) - 1 }
 // WindowLen returns the length in cycles of window m.
 func (a *Analysis) WindowLen(m int) int64 { return a.Boundaries[m+1] - a.Boundaries[m] }
 
-// maxWindows bounds the number of analysis windows a single Analyze
-// call may produce, guarding against absurd window sizes turning into
+// maxWindows bounds the number of analysis windows a single analysis
+// may produce, guarding against absurd window sizes turning into
 // multi-gigabyte matrix allocations.
 const maxWindows = 1 << 26
 
@@ -158,6 +158,32 @@ func newAnalysis(nT int, boundaries []int64) *Analysis {
 	}
 }
 
+// Windows is a window plan: fixed windows of Size cycles (the last one
+// truncated to the horizon), or, when Edges is set, explicit window
+// edges — strictly increasing, from 0 to the horizon. Explicit edges
+// are the variable-window extension the paper lists as future work
+// (AdaptiveBoundaries derives them from the traffic); a Size at or
+// beyond the horizon gives the single-window "average traffic" view of
+// prior work (paper Section 2).
+type Windows struct {
+	Size  int64
+	Edges []int64
+}
+
+// edges resolves the plan against a horizon.
+func (w Windows) edges(horizon int64) ([]int64, error) {
+	if w.Edges == nil {
+		return windowBoundaries(horizon, w.Size)
+	}
+	if w.Size != 0 {
+		return nil, errors.New("trace: a window plan sets Size or Edges, not both")
+	}
+	if err := validateBoundaries(horizon, w.Edges); err != nil {
+		return nil, err
+	}
+	return w.Edges, nil
+}
+
 // windowBoundaries builds the fixed-size window edges for a horizon:
 // windows of ws cycles, the last truncated to the horizon.
 func windowBoundaries(horizon, ws int64) ([]int64, error) {
@@ -205,75 +231,17 @@ func validateBoundaries(horizon int64, boundaries []int64) error {
 	return nil
 }
 
-// Analyze divides the trace into fixed-size windows of ws cycles (the
-// last window may be shorter if the horizon is not a multiple) and
-// computes the per-window traffic characteristics.
-func Analyze(tr *Trace, ws int64) (*Analysis, error) {
-	return AnalyzeCtx(context.Background(), tr, ws)
-}
-
-// AnalyzeCtx is Analyze with cooperative cancellation. It runs the
-// single-pass sweep-line kernel (see sweep.go); the result is
-// bit-identical to the retained legacy pairwise algorithm
-// (AnalyzeLegacyCtx), which the differential harness asserts.
-func AnalyzeCtx(ctx context.Context, tr *Trace, ws int64) (*Analysis, error) {
+// AnalyzeLegacy runs the original pairwise-intersection algorithm
+// (O(R²) allocated interval-set intersections). It is the oracle the
+// equivalence gates compare the sweep driver against, and the
+// before/after benchmark baseline; designs use AnalyzeCtx or
+// AnalyzeTrace.
+func AnalyzeLegacy(ctx context.Context, tr *Trace, win Windows) (*Analysis, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, err
 	}
-	boundaries, err := windowBoundaries(tr.Horizon, ws)
+	boundaries, err := win.edges(tr.Horizon)
 	if err != nil {
-		return nil, err
-	}
-	return analyzeSweep(ctx, tr, boundaries)
-}
-
-// AnalyzeWithBoundaries performs the window analysis with explicit
-// window edges, supporting the variable-window-size extension the
-// paper lists as future work. Boundaries must be strictly increasing,
-// start at 0 and end at the trace horizon.
-func AnalyzeWithBoundaries(tr *Trace, boundaries []int64) (*Analysis, error) {
-	return AnalyzeWithBoundariesCtx(context.Background(), tr, boundaries)
-}
-
-// AnalyzeWithBoundariesCtx is AnalyzeWithBoundaries with cancellation.
-func AnalyzeWithBoundariesCtx(ctx context.Context, tr *Trace, boundaries []int64) (*Analysis, error) {
-	if err := tr.Validate(); err != nil {
-		return nil, err
-	}
-	if err := validateBoundaries(tr.Horizon, boundaries); err != nil {
-		return nil, err
-	}
-	return analyzeSweep(ctx, tr, boundaries)
-}
-
-// AnalyzeLegacy is Analyze on the original pairwise-intersection
-// algorithm (O(R²) allocated interval-set intersections). It is
-// retained as the oracle for the differential harness and the
-// before/after benchmark baseline; new code should use Analyze.
-func AnalyzeLegacy(tr *Trace, ws int64) (*Analysis, error) {
-	return AnalyzeLegacyCtx(context.Background(), tr, ws)
-}
-
-// AnalyzeLegacyCtx is AnalyzeLegacy with cancellation and parallel
-// per-receiver/per-pair computation (sharded over GOMAXPROCS workers).
-func AnalyzeLegacyCtx(ctx context.Context, tr *Trace, ws int64) (*Analysis, error) {
-	if err := tr.Validate(); err != nil {
-		return nil, err
-	}
-	boundaries, err := windowBoundaries(tr.Horizon, ws)
-	if err != nil {
-		return nil, err
-	}
-	return analyzeLegacy(ctx, tr, boundaries)
-}
-
-// AnalyzeLegacyWithBoundariesCtx is the explicit-boundary form of the
-// legacy kernel.
-func AnalyzeLegacyWithBoundariesCtx(ctx context.Context, tr *Trace, boundaries []int64) (*Analysis, error) {
-	if err := tr.Validate(); err != nil {
-		return nil, err
-	}
-	if err := validateBoundaries(tr.Horizon, boundaries); err != nil {
 		return nil, err
 	}
 	return analyzeLegacy(ctx, tr, boundaries)
@@ -289,16 +257,6 @@ func AnalyzeLegacyWithBoundariesCtx(ctx context.Context, tr *Trace, boundaries [
 func analyzeLegacy(ctx context.Context, tr *Trace, boundaries []int64) (*Analysis, error) {
 	nT := tr.NumReceivers
 	nW := len(boundaries) - 1
-
-	ctx, span := obs.Start(ctx, "trace.analyze")
-	defer span.End()
-	span.SetStr("kernel", "legacy")
-	span.SetInt("receivers", int64(nT))
-	span.SetInt("windows", int64(nW))
-	span.SetInt("events", int64(len(tr.Events)))
-	metAnalyses.Inc()
-	metWindows.Add(int64(nW))
-
 	a := newAnalysis(nT, boundaries)
 	busy, critical := tr.busyByReceiver()
 
@@ -377,11 +335,4 @@ func (a *Analysis) MaxWindowLoad() int {
 	}
 	a.mwl.Store(int64(best))
 	return best
-}
-
-// SingleWindow collapses the analysis to one window spanning the whole
-// trace. This reproduces the "average communication traffic" design
-// point of prior work that the paper compares against (Section 2).
-func SingleWindow(tr *Trace) (*Analysis, error) {
-	return AnalyzeWithBoundaries(tr, []int64{0, tr.Horizon})
 }

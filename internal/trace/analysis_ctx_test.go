@@ -63,15 +63,15 @@ func TestAnalyzeCtxCanceled(t *testing.T) {
 
 func TestAnalyzeCtxBackgroundMatchesAnalyze(t *testing.T) {
 	tr := overlapTrace(7, 6)
-	a1, err := Analyze(tr, 300)
+	a1, err := AnalyzeCtx(context.Background(), tr, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := AnalyzeCtx(context.Background(), tr, 300)
+	a2, err := AnalyzeTrace(context.Background(), tr, Windows{Size: 300}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a1, a2) {
-		t.Error("Analyze and AnalyzeCtx disagree")
+		t.Error("AnalyzeCtx and the one-shard AnalyzeTrace disagree")
 	}
 }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -16,7 +17,7 @@ func TestAnalyzeComm(t *testing.T) {
 			{Start: 60, Len: 10, Sender: 0, Receiver: 1}, // window 6
 		},
 	}
-	a, err := Analyze(tr, 10)
+	a, err := AnalyzeCtx(context.Background(), tr, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestAnalyzeOverlap(t *testing.T) {
 			{Start: 35, Len: 5, Sender: 0, Receiver: 2},
 		},
 	}
-	a, err := Analyze(tr, 20)
+	a, err := AnalyzeCtx(context.Background(), tr, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestAnalyzeCritical(t *testing.T) {
 			{Start: 5, Len: 10, Sender: 0, Receiver: 1, Critical: true},
 		},
 	}
-	a, err := Analyze(tr, 20)
+	a, err := AnalyzeCtx(context.Background(), tr, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestAnalyzeCriticalOverlapRequiresBothCritical(t *testing.T) {
 			{Start: 0, Len: 10, Sender: 0, Receiver: 1, Critical: false},
 		},
 	}
-	a, err := Analyze(tr, 20)
+	a, err := AnalyzeCtx(context.Background(), tr, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestAnalyzeRaggedLastWindow(t *testing.T) {
 		Horizon:      25,
 		Events:       []Event{{Start: 22, Len: 3, Sender: 0, Receiver: 0}},
 	}
-	a, err := Analyze(tr, 10)
+	a, err := AnalyzeCtx(context.Background(), tr, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestAnalyzeRaggedLastWindow(t *testing.T) {
 	}
 }
 
-func TestAnalyzeWithBoundariesValidation(t *testing.T) {
+func TestAnalyzeTraceEdgesValidation(t *testing.T) {
 	tr := validTrace()
 	cases := [][]int64{
 		{0},              // too short
@@ -147,7 +148,7 @@ func TestAnalyzeWithBoundariesValidation(t *testing.T) {
 		{0, 50, 50, 100}, // not strictly increasing
 	}
 	for _, b := range cases {
-		if _, err := AnalyzeWithBoundaries(tr, b); err == nil {
+		if _, err := AnalyzeTrace(context.Background(), tr, Windows{Edges: b}, 1, nil); err == nil {
 			t.Errorf("boundaries %v accepted, want error", b)
 		}
 	}
@@ -160,7 +161,7 @@ func TestAnalyzeVariableWindows(t *testing.T) {
 		Horizon:      100,
 		Events:       []Event{{Start: 0, Len: 100, Sender: 0, Receiver: 0}},
 	}
-	a, err := AnalyzeWithBoundaries(tr, []int64{0, 30, 100})
+	a, err := AnalyzeTrace(context.Background(), tr, Windows{Edges: []int64{0, 30, 100}}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestAnalyzeVariableWindows(t *testing.T) {
 
 func TestSingleWindowEqualsTotals(t *testing.T) {
 	tr := validTrace()
-	a, err := SingleWindow(tr)
+	a, err := AnalyzeTrace(context.Background(), tr, Windows{Size: tr.Horizon}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +202,7 @@ func TestMaxWindowLoad(t *testing.T) {
 			{Start: 0, Len: 10, Sender: 0, Receiver: 2},
 		},
 	}
-	a, err := Analyze(tr, 10)
+	a, err := AnalyzeCtx(context.Background(), tr, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,9 +233,9 @@ func TestAnalyzeQuickConservation(t *testing.T) {
 			})
 		}
 		ws := int64(10 + rng.Intn(100))
-		a, err := Analyze(tr, ws)
+		a, err := AnalyzeCtx(context.Background(), tr, ws)
 		if err != nil {
-			t.Logf("Analyze failed: %v", err)
+			t.Logf("AnalyzeCtx failed: %v", err)
 			return false
 		}
 		// Per-receiver busy-cycle conservation. Note: overlapping events
@@ -277,10 +278,10 @@ func TestAnalyzeQuickConservation(t *testing.T) {
 }
 
 func TestAnalyzeRejectsBadWS(t *testing.T) {
-	if _, err := Analyze(validTrace(), 0); err == nil {
+	if _, err := AnalyzeCtx(context.Background(), validTrace(), 0); err == nil {
 		t.Error("ws=0 accepted")
 	}
-	if _, err := Analyze(validTrace(), -5); err == nil {
+	if _, err := AnalyzeCtx(context.Background(), validTrace(), -5); err == nil {
 		t.Error("negative ws accepted")
 	}
 }

@@ -66,6 +66,9 @@ func WriteBinary(w io.Writer, tr *Trace) error {
 // binaryEventSize is the wire size of one event record.
 const binaryEventSize = 25
 
+// v1Batch is how many v1 records walkRecords decodes per yield.
+const v1Batch = 4096
+
 // binHeader is the parsed fixed-size header of a binary trace.
 type binHeader struct {
 	version      uint32
@@ -76,9 +79,9 @@ type binHeader struct {
 }
 
 // readBinaryHeader parses and sanity-checks the magic and header of a
-// binary trace stream. It is shared by ReadBinary and the streaming
-// AnalyzeReader so both enforce the same bounds against corrupt or
-// hostile headers.
+// binary trace. It is shared by ReadBinary, ReadHeader and the byte
+// sources of the analysis, so all enforce the same bounds against
+// corrupt or hostile headers.
 func readBinaryHeader(br *bufio.Reader) (binHeader, error) {
 	var hdr binHeader
 	var magic [4]byte
@@ -103,6 +106,10 @@ func readBinaryHeader(br *bufio.Reader) (binHeader, error) {
 	}
 	hdr.horizon = int64(horizon)
 	return hdr, nil
+}
+
+func (hdr binHeader) shape() shape {
+	return shape{nT: int(hdr.numReceivers), nS: int(hdr.numSenders), horizon: hdr.horizon, events: hdr.numEvents}
 }
 
 // Header describes a binary trace file (either container version)
@@ -132,7 +139,8 @@ func ReadHeader(r io.Reader) (Header, error) {
 	}, nil
 }
 
-// ReadBinary parses a trace written by WriteBinary.
+// ReadBinary parses a trace written by WriteBinary or WriteBinaryV2.
+// The input must end with the last event.
 func ReadBinary(r io.Reader) (*Trace, error) {
 	br := bufio.NewReader(r)
 	hdr, err := readBinaryHeader(br)
@@ -152,26 +160,66 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 		// commit gigabytes before the first short read is noticed.
 		Events: make([]Event, 0, min(hdr.numEvents, 1<<16)),
 	}
-	if hdr.version == binaryVersionV2 {
-		if err := readV2Events(br, hdr, tr); err != nil {
-			return nil, err
-		}
-		if err := tr.Validate(); err != nil {
-			return nil, err
-		}
-		return tr, nil
-	}
-	var buf [binaryEventSize]byte
-	for i := uint64(0); i < hdr.numEvents; i++ {
-		if _, err := io.ReadFull(br, buf[:]); err != nil {
-			return nil, fmt.Errorf("trace: reading event %d: %w", i, err)
-		}
-		tr.Events = append(tr.Events, decodeBinaryEvent(&buf))
+	err = walkRecords(br, hdr, func(_ uint64, evs []Event) error {
+		tr.Events = append(tr.Events, evs...)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if err := tr.Validate(); err != nil {
 		return nil, err
 	}
 	return tr, nil
+}
+
+// walkRecords reads the events after a binary header — fixed records
+// for v1, columnar blocks for v2 — and then requires the input to end.
+// It yields the events in order, in batches (a v2 block, or up to
+// v1Batch v1 records) with the index of each batch's first event; a
+// batch's storage is reused once yield returns. It is the one reader
+// behind ReadBinary and AnalyzeReader; checking the events is the
+// caller's.
+func walkRecords(br *bufio.Reader, hdr binHeader, yield func(first uint64, evs []Event) error) error {
+	if hdr.version == binaryVersionV2 {
+		if err := walkV2Blocks(br, hdr.numEvents, yield); err != nil {
+			return err
+		}
+	} else {
+		var rec [binaryEventSize]byte
+		batch := make([]Event, 0, min(hdr.numEvents, v1Batch))
+		for i := uint64(0); i < hdr.numEvents; i++ {
+			if _, err := io.ReadFull(br, rec[:]); err != nil {
+				return fmt.Errorf("trace: reading event %d: %w", i, err)
+			}
+			batch = append(batch, decodeBinaryEvent(&rec))
+			if len(batch) == cap(batch) || i+1 == hdr.numEvents {
+				if err := yield(i+1-uint64(len(batch)), batch); err != nil {
+					return err
+				}
+				batch = batch[:0]
+			}
+		}
+	}
+	switch _, err := br.ReadByte(); err {
+	case io.EOF:
+		return nil
+	case nil:
+		return errors.New("trace: trailing bytes after the last event")
+	default:
+		return fmt.Errorf("trace: reading past the last event: %w", err)
+	}
+}
+
+// decodeBinaryEvent parses one WriteBinary event record.
+func decodeBinaryEvent(buf *[binaryEventSize]byte) Event {
+	return Event{
+		Start:    int64(binary.LittleEndian.Uint64(buf[0:])),
+		Len:      int64(binary.LittleEndian.Uint64(buf[8:])),
+		Sender:   int(binary.LittleEndian.Uint32(buf[16:])),
+		Receiver: int(binary.LittleEndian.Uint32(buf[20:])),
+		Critical: buf[24] != 0,
+	}
 }
 
 // jsonTrace is the JSON wire form of a Trace.

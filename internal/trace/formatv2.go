@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bufio"
-	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -86,21 +85,23 @@ func (bh *v2BlockHeader) validate(remaining uint64) error {
 	return nil
 }
 
-// v2DecodeBlock decodes one block payload, yielding events in order.
-// It performs the structural checks — varints in bounds, payload fully
-// consumed, first start matching the header, nonnegative spans, and
-// the decoded max end equal to the header's maxEnd (the summary the
-// sharded reader plans with). Semantic validation (receiver ranges,
-// horizon) is the caller's, matching the v1 paths.
-func v2DecodeBlock(bh v2BlockHeader, payload []byte, yield func(Event) error) error {
+// v2DecodeBlock decodes one block payload into dst's storage (grown
+// when short) and returns the block's events in order. It performs the
+// structural checks — varints in bounds, payload fully consumed, first
+// start matching the header, nonnegative spans, and the decoded max end
+// equal to the header's maxEnd (the summary the cut planner works
+// from). Semantic validation (receiver ranges, horizon) is the
+// caller's, matching the v1 paths.
+func v2DecodeBlock(bh v2BlockHeader, payload []byte, dst []Event) ([]Event, error) {
 	n := int(bh.count)
 	if int(bh.payloadLen) != len(payload) {
-		return fmt.Errorf("trace: v2 block payload: got %d bytes, header says %d", len(payload), bh.payloadLen)
+		return nil, fmt.Errorf("trace: v2 block payload: got %d bytes, header says %d", len(payload), bh.payloadLen)
 	}
+	if cap(dst) < n {
+		dst = make([]Event, n)
+	}
+	evs := dst[:n]
 
-	// Column offsets: walk the varint columns once to slice them.
-	starts := make([]int64, n)
-	starts[0] = bh.firstStart
 	pos := 0
 	readUvarint := func() (uint64, error) {
 		v, k := binary.Uvarint(payload[pos:])
@@ -110,80 +111,68 @@ func v2DecodeBlock(bh v2BlockHeader, payload []byte, yield func(Event) error) er
 		pos += k
 		return v, nil
 	}
+	evs[0].Start = bh.firstStart
 	for k := 1; k < n; k++ {
 		d, err := readUvarint()
 		if err != nil {
-			return err
+			return nil, err
 		}
-		s := starts[k-1] + int64(d)
-		if s < starts[k-1] { // overflow
-			return fmt.Errorf("trace: v2 block: start delta overflows at event %d", k)
+		s := evs[k-1].Start + int64(d)
+		if s < evs[k-1].Start { // overflow
+			return nil, fmt.Errorf("trace: v2 block: start delta overflows at event %d", k)
 		}
-		starts[k] = s
+		evs[k].Start = s
 	}
-	lens := make([]int64, n)
 	for k := 0; k < n; k++ {
 		v, err := readUvarint()
 		if err != nil {
-			return err
+			return nil, err
 		}
-		lens[k] = int64(v)
-		if lens[k] < 0 {
-			return fmt.Errorf("trace: v2 block: length overflows at event %d", k)
+		evs[k].Len = int64(v)
+		if evs[k].Len < 0 {
+			return nil, fmt.Errorf("trace: v2 block: length overflows at event %d", k)
 		}
 	}
-	senders := make([]int, n)
 	for k := 0; k < n; k++ {
 		v, err := readUvarint()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if v > 1<<31 {
-			return fmt.Errorf("trace: v2 block: implausible sender %d", v)
+			return nil, fmt.Errorf("trace: v2 block: implausible sender %d", v)
 		}
-		senders[k] = int(v)
+		evs[k].Sender = int(v)
 	}
-	recvs := make([]int, n)
 	for k := 0; k < n; k++ {
 		v, err := readUvarint()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if v > 1<<31 {
-			return fmt.Errorf("trace: v2 block: implausible receiver %d", v)
+			return nil, fmt.Errorf("trace: v2 block: implausible receiver %d", v)
 		}
-		recvs[k] = int(v)
+		evs[k].Receiver = int(v)
 	}
 	bitmapLen := (n + 7) / 8
 	if len(payload)-pos != bitmapLen {
-		return fmt.Errorf("trace: v2 block: %d payload bytes after columns, want %d bitmap bytes", len(payload)-pos, bitmapLen)
+		return nil, fmt.Errorf("trace: v2 block: %d payload bytes after columns, want %d bitmap bytes", len(payload)-pos, bitmapLen)
 	}
 	bitmap := payload[pos:]
 
 	maxEnd := int64(0)
-	for k := 0; k < n; k++ {
-		end := starts[k] + lens[k]
-		if end < starts[k] {
-			return fmt.Errorf("trace: v2 block: event %d span overflows", k)
+	for k := range evs {
+		e := &evs[k]
+		end := e.Start + e.Len
+		if end < e.Start {
+			return nil, fmt.Errorf("trace: v2 block: event %d span overflows", k)
 		}
-		if end > maxEnd {
-			maxEnd = end
-		}
-		ev := Event{
-			Start:    starts[k],
-			Len:      lens[k],
-			Sender:   senders[k],
-			Receiver: recvs[k],
-			Critical: bitmap[k/8]&(1<<(k%8)) != 0,
-		}
-		if err := yield(ev); err != nil {
-			return err
-		}
+		maxEnd = max(maxEnd, end)
+		e.Critical = bitmap[k/8]&(1<<(k%8)) != 0
 	}
 	if maxEnd != bh.maxEnd {
-		return fmt.Errorf("trace: v2 block: header maxEnd %d does not match decoded %d", bh.maxEnd, maxEnd)
+		return nil, fmt.Errorf("trace: v2 block: header maxEnd %d does not match decoded %d", bh.maxEnd, maxEnd)
 	}
-	return nil
+	return evs, nil
 }
 
 // V2Writer streams a trace into the v2 columnar format. The event
@@ -341,19 +330,21 @@ func WriteBinaryV2(w io.Writer, tr *Trace) error {
 	return vw.Close()
 }
 
-// readV2Events reads the block stream after a v2 header, appending
-// decoded events to the trace (the ReadBinary half of v2 support).
-func readV2Events(br *bufio.Reader, hdr binHeader, tr *Trace) error {
+// walkV2Blocks reads numEvents events of v2 blocks from br, yielding
+// each block's events with the index of its first: the v2 half of
+// walkRecords.
+func walkV2Blocks(br *bufio.Reader, numEvents uint64, yield func(first uint64, evs []Event) error) error {
 	var hb [v2BlockHeaderSize]byte
 	payload := make([]byte, 0, 1<<16)
+	var evs []Event
 	var done uint64
 	lastStart := int64(-1)
-	for done < hdr.numEvents {
+	for done < numEvents {
 		if _, err := io.ReadFull(br, hb[:]); err != nil {
 			return fmt.Errorf("trace: reading v2 block header at event %d: %w", done, err)
 		}
 		bh := parseV2BlockHeader(&hb)
-		if err := bh.validate(hdr.numEvents - done); err != nil {
+		if err := bh.validate(numEvents - done); err != nil {
 			return err
 		}
 		if bh.firstStart < lastStart {
@@ -363,57 +354,14 @@ func readV2Events(br *bufio.Reader, hdr binHeader, tr *Trace) error {
 		if _, err := io.ReadFull(br, payload); err != nil {
 			return fmt.Errorf("trace: reading v2 block payload at event %d: %w", done, err)
 		}
-		err := v2DecodeBlock(bh, payload, func(e Event) error {
-			tr.Events = append(tr.Events, e)
-			lastStart = e.Start
-			return nil
-		})
-		if err != nil {
+		var err error
+		if evs, err = v2DecodeBlock(bh, payload, evs); err != nil {
 			return err
 		}
-		done += uint64(bh.count)
-	}
-	return nil
-}
-
-// analyzeReaderV2 is the v2 half of AnalyzeReader: stream blocks,
-// validate each record against the header shape, feed the sweeper.
-func analyzeReaderV2(ctx context.Context, br *bufio.Reader, hdr binHeader, sw *sweeper, nT, nS int) error {
-	var hb [v2BlockHeaderSize]byte
-	payload := make([]byte, 0, 1<<16)
-	var done uint64
-	lastStart := int64(-1)
-	for done < hdr.numEvents {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("trace: analysis canceled: %w", err)
-		}
-		if _, err := io.ReadFull(br, hb[:]); err != nil {
-			return fmt.Errorf("trace: reading v2 block header at event %d: %w", done, err)
-		}
-		bh := parseV2BlockHeader(&hb)
-		if err := bh.validate(hdr.numEvents - done); err != nil {
+		if err := yield(done, evs); err != nil {
 			return err
 		}
-		if bh.firstStart < lastStart {
-			return fmt.Errorf("trace: v2 block at event %d starts at %d, before the previous start %d", done, bh.firstStart, lastStart)
-		}
-		payload = growTo(payload, int(bh.payloadLen))
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return fmt.Errorf("trace: reading v2 block payload at event %d: %w", done, err)
-		}
-		i := done
-		err := v2DecodeBlock(bh, payload, func(e Event) error {
-			if err := validateStreamEvent(i, e, nT, nS, hdr.horizon); err != nil {
-				return err
-			}
-			lastStart = e.Start
-			sw.feed(e.Start, e.Len, e.Receiver, e.Critical)
-			i++
-			return nil
-		})
-		if err != nil {
-			return err
-		}
+		lastStart = evs[len(evs)-1].Start
 		done += uint64(bh.count)
 	}
 	return nil
@@ -428,58 +376,36 @@ func growTo(buf []byte, n int) []byte {
 	return make([]byte, n)
 }
 
-// validateStreamEvent applies the per-record semantic checks shared by
-// the streaming and sharded byte-backed paths.
-func validateStreamEvent(i uint64, e Event, nT, nS int, horizon int64) error {
-	switch {
-	case e.Receiver < 0 || e.Receiver >= nT:
-		return fmt.Errorf("trace: event %d receiver %d out of range [0,%d)", i, e.Receiver, nT)
-	case e.Sender < 0 || e.Sender >= nS:
-		return fmt.Errorf("trace: event %d sender %d out of range [0,%d)", i, e.Sender, nS)
-	case e.Len <= 0:
-		return fmt.Errorf("trace: event %d has non-positive length %d", i, e.Len)
-	case e.Start < 0 || e.Start >= horizon || e.Len > horizon-e.Start:
-		return fmt.Errorf("trace: event %d [%d,+%d) outside horizon %d", i, e.Start, e.Len, horizon)
-	}
-	return nil
-}
-
-// v2IndexEntry is one block of a parsed in-memory v2 image: where its
-// payload lives and the planning summary from its header.
-type v2IndexEntry struct {
-	off       int // payload offset in the image
-	bh        v2BlockHeader
-	cumEvents uint64 // events before this block
-}
-
 // parseV2Index walks the block headers of a v2 image (payloads are
-// skipped, so this is O(blocks), not O(events)) and returns the block
-// index the sharded reader plans with. body is the image after the
-// 32-byte file header.
-func parseV2Index(body []byte, hdr binHeader) ([]v2IndexEntry, error) {
-	var idx []v2IndexEntry
+// skipped, so this is O(blocks), not O(events)) and returns the blocks
+// the driver plans and reads with. body is the image after the 32-byte
+// file header; it must end with the last block, and every block must lie
+// inside the horizon (a block past it would be read by no shard).
+func parseV2Index(body []byte, sh shape) ([]block, error) {
+	var idx []block
 	pos := 0
 	var done uint64
 	lastFirst := int64(-1)
-	for done < hdr.numEvents {
+	for done < sh.events {
 		if len(body)-pos < v2BlockHeaderSize {
 			return nil, fmt.Errorf("trace: v2 image truncated at block header (event %d)", done)
 		}
-		var hb [v2BlockHeaderSize]byte
-		copy(hb[:], body[pos:])
-		bh := parseV2BlockHeader(&hb)
-		if err := bh.validate(hdr.numEvents - done); err != nil {
+		bh := parseV2BlockHeader((*[v2BlockHeaderSize]byte)(body[pos:]))
+		if err := bh.validate(sh.events - done); err != nil {
 			return nil, err
 		}
 		if bh.firstStart < lastFirst {
 			return nil, fmt.Errorf("trace: v2 block at event %d starts at %d, before the previous block's first start %d", done, bh.firstStart, lastFirst)
+		}
+		if bh.maxEnd > sh.horizon {
+			return nil, fmt.Errorf("trace: v2 block at event %d ends at cycle %d, past the horizon %d", done, bh.maxEnd, sh.horizon)
 		}
 		lastFirst = bh.firstStart
 		pos += v2BlockHeaderSize
 		if len(body)-pos < int(bh.payloadLen) {
 			return nil, fmt.Errorf("trace: v2 image truncated at block payload (event %d)", done)
 		}
-		idx = append(idx, v2IndexEntry{off: pos, bh: bh, cumEvents: done})
+		idx = append(idx, block{v2BlockHeader: bh, first: done, off: pos})
 		pos += int(bh.payloadLen)
 		done += uint64(bh.count)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -118,8 +119,8 @@ func TestV2Corrupt(t *testing.T) {
 		if _, err := ReadBinary(bytes.NewReader(bad)); err == nil {
 			t.Errorf("%s: ReadBinary accepted corrupt input", name)
 		}
-		if _, err := AnalyzeBytesSharded(context.Background(), bad, 100, 4, nil); err == nil {
-			t.Errorf("%s: AnalyzeBytesSharded accepted corrupt input", name)
+		if _, err := AnalyzeImage(context.Background(), bad, Windows{Size: 100}, 4, nil); err == nil {
+			t.Errorf("%s: AnalyzeImage accepted corrupt input", name)
 		}
 	}
 	check("truncated-payload", func(b []byte) []byte { return b[:len(b)-3] })
@@ -136,8 +137,8 @@ func TestV2Corrupt(t *testing.T) {
 
 	// Trailing garbage is rejected by the indexed (sharded) reader.
 	bad := append(append([]byte(nil), data...), 1, 2, 3)
-	if _, err := AnalyzeBytesSharded(context.Background(), bad, 100, 4, nil); err == nil {
-		t.Error("trailing bytes: AnalyzeBytesSharded accepted corrupt input")
+	if _, err := AnalyzeImage(context.Background(), bad, Windows{Size: 100}, 4, nil); err == nil {
+		t.Error("trailing bytes: AnalyzeImage accepted corrupt input")
 	}
 }
 
@@ -146,7 +147,7 @@ func TestAnalyzeReaderV2MatchesAnalyze(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		tr := randomSweepTrace(rng, 2+rng.Intn(16), 1+rng.Intn(400), int64(100+rng.Intn(3000)))
 		for _, ws := range []int64{1, 37, tr.Horizon} {
-			want, err := Analyze(tr, ws)
+			want, err := AnalyzeCtx(context.Background(), tr, ws)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -159,9 +160,9 @@ func TestAnalyzeReaderV2MatchesAnalyze(t *testing.T) {
 	}
 }
 
-// TestAnalyzeBytesShardedMatches cross-checks the byte-backed sharded
-// driver against the in-memory sweep for both container formats.
-func TestAnalyzeBytesShardedMatches(t *testing.T) {
+// TestAnalyzeImageMatches cross-checks the byte-image source against
+// the in-memory one for both container formats.
+func TestAnalyzeImageMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 5; trial++ {
 		tr := randomSweepTrace(rng, 2+rng.Intn(24), 1+rng.Intn(500), int64(200+rng.Intn(5000)))
@@ -171,17 +172,17 @@ func TestAnalyzeBytesShardedMatches(t *testing.T) {
 			if ws <= 0 {
 				continue
 			}
-			want, err := Analyze(tr, ws)
+			want, err := AnalyzeCtx(context.Background(), tr, ws)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, shards := range []int{1, 2, 5, 9, 0} {
-				got, err := AnalyzeBytesSharded(context.Background(), v1, ws, shards, nil)
+				got, err := AnalyzeImage(context.Background(), v1, Windows{Size: ws}, shards, nil)
 				if err != nil {
 					t.Fatalf("v1 sharded (%d): %v", shards, err)
 				}
 				mustEqualAnalyses(t, "v1-bytes/sh"+itoa(shards), got, want)
-				got, err = AnalyzeBytesSharded(context.Background(), v2, ws, shards, nil)
+				got, err = AnalyzeImage(context.Background(), v2, Windows{Size: ws}, shards, nil)
 				if err != nil {
 					t.Fatalf("v2 sharded (%d): %v", shards, err)
 				}
@@ -191,28 +192,72 @@ func TestAnalyzeBytesShardedMatches(t *testing.T) {
 	}
 }
 
-// TestAnalyzeBytesShardedUnsortedV1 checks the byte-backed planner
-// rejects unordered v1 images with a clear error (the in-memory path
-// sorts; the out-of-core path cannot).
-func TestAnalyzeBytesShardedUnsortedV1(t *testing.T) {
-	tr := &Trace{NumReceivers: 2, NumSenders: 1, Horizon: 100, Events: []Event{
-		{Start: 50, Len: 5, Receiver: 0},
-		{Start: 10, Len: 5, Receiver: 1},
-	}}
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, tr); err != nil {
-		t.Fatal(err)
+// TestBinaryVerdictsIndependentOfShards pins that a binary trace is
+// accepted or rejected the same way by every entry point at every shard
+// count and window size: trailing bytes are rejected in both container
+// versions, and an unsorted v1 trace is ErrUnsorted on every analysis
+// path (the daemon falls back to ReadBinary + AnalyzeTrace on it, which
+// therefore must accept it).
+func TestBinaryVerdictsIndependentOfShards(t *testing.T) {
+	tr := &Trace{NumReceivers: 3, NumSenders: 1, Horizon: 1000}
+	for k := 0; k < 40; k++ {
+		tr.Events = append(tr.Events, Event{Start: int64(k * 24), Len: 30, Receiver: k % 3, Critical: k%5 == 0})
 	}
-	_, err := AnalyzeBytesSharded(context.Background(), buf.Bytes(), 10, 4, nil)
-	if err == nil || !strings.Contains(err.Error(), "start-ordered") {
-		t.Fatalf("unordered v1 image: got %v, want start-ordered error", err)
+	unsorted := *tr
+	unsorted.Events = append([]Event{tr.Events[len(tr.Events)-1]}, tr.Events[:len(tr.Events)-1]...)
+	trailing := func(b []byte) []byte { return append(b, 0, 0, 0, 0) }
+
+	cases := []struct {
+		name     string
+		data     []byte
+		unsorted bool // the verdict: ErrUnsorted; otherwise some other error
+	}{
+		{"v1-trailing", trailing(encodeTrace(t, tr)), false},
+		{"v2-trailing", trailing(encodeTraceV2(t, tr)), false},
+		{"v1-unsorted", encodeTrace(t, &unsorted), true},
+	}
+	dir := t.TempDir()
+	ctx := context.Background()
+	for _, tc := range cases {
+		path := filepath.Join(dir, tc.name+".trc")
+		if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		verdict := func(entry string, err error) {
+			t.Helper()
+			switch {
+			case err == nil:
+				t.Errorf("%s: %s accepted it", tc.name, entry)
+			case tc.unsorted != errors.Is(err, ErrUnsorted):
+				t.Errorf("%s: %s: got %v, want ErrUnsorted: %v", tc.name, entry, err, tc.unsorted)
+			}
+		}
+		_, err := ReadBinary(bytes.NewReader(tc.data))
+		if tc.unsorted {
+			if err != nil {
+				t.Errorf("%s: ReadBinary rejected it: %v", tc.name, err)
+			}
+		} else {
+			verdict("ReadBinary", err)
+		}
+		for _, ws := range []int64{7, tr.Horizon + 1} {
+			_, err := AnalyzeReader(ctx, bytes.NewReader(tc.data), ws)
+			verdict("AnalyzeReader/ws"+itoa(int(ws)), err)
+			for _, shards := range []int{1, 2, 4} {
+				tag := "/ws" + itoa(int(ws)) + "/sh" + itoa(shards)
+				_, err := AnalyzeImage(ctx, tc.data, Windows{Size: ws}, shards, nil)
+				verdict("AnalyzeImage"+tag, err)
+				_, err = AnalyzeFileSharded(ctx, path, ws, shards, nil)
+				verdict("AnalyzeFileSharded"+tag, err)
+			}
+		}
 	}
 }
 
 func TestAnalyzeFileSharded(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	tr := randomSweepTrace(rng, 12, 800, 6000)
-	want, err := Analyze(tr, 250)
+	want, err := AnalyzeCtx(context.Background(), tr, 250)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +299,7 @@ func TestFingerprintAcrossFormats(t *testing.T) {
 		{Start: 150, Len: 60, Receiver: 2, Critical: true},
 	}}
 	const ws = 100
-	base, err := Analyze(tr, ws)
+	base, err := AnalyzeCtx(context.Background(), tr, ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +310,7 @@ func TestFingerprintAcrossFormats(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		a, err := Analyze(decoded, ws)
+		a, err := AnalyzeCtx(context.Background(), decoded, ws)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -274,7 +319,7 @@ func TestFingerprintAcrossFormats(t *testing.T) {
 		}
 	}
 	var stats ShardStats
-	sharded, err := AnalyzeBytesSharded(context.Background(), encodeTraceV2(t, tr), ws, 3, &stats)
+	sharded, err := AnalyzeImage(context.Background(), encodeTraceV2(t, tr), Windows{Size: ws}, 3, &stats)
 	if err != nil {
 		t.Fatal(err)
 	}

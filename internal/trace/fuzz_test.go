@@ -122,12 +122,12 @@ func FuzzAnalyze(f *testing.F) {
 			// itself the test that Validate cannot be bypassed.
 			return
 		}
-		a, err := Analyze(tr, ws)
+		a, err := AnalyzeCtx(context.Background(), tr, ws)
 		if err != nil {
 			if ws <= 0 {
 				return // the documented rejection
 			}
-			t.Fatalf("Analyze rejected a valid trace: %v", err)
+			t.Fatalf("AnalyzeCtx rejected a valid trace: %v", err)
 		}
 
 		// Structural window invariants.
@@ -147,7 +147,7 @@ func FuzzAnalyze(f *testing.F) {
 		// runs (on a start-sorted copy — order must not matter).
 		nPairs := tr.NumReceivers * (tr.NumReceivers - 1) / 2
 		if nPairs*nW <= 1<<22 {
-			legacy, err := AnalyzeLegacy(tr, ws)
+			legacy, err := AnalyzeLegacy(context.Background(), tr, Windows{Size: ws})
 			if err != nil {
 				t.Fatalf("AnalyzeLegacy rejected a valid trace: %v", err)
 			}
@@ -226,11 +226,11 @@ func FuzzAnalyze(f *testing.F) {
 	})
 }
 
-// FuzzShardedAnalyze cross-checks the sharded drivers against the
-// single-pass sweep on arbitrary traces: the in-memory sharded driver,
-// the byte-backed sharded driver over a v2 re-encode, and the v2
-// streaming reader must all be bit-identical to Analyze at an
-// arbitrary shard count — the fuzz form of the shard-boundary suite.
+// FuzzShardedAnalyze cross-checks sharded runs of the driver against
+// the single pass on arbitrary traces: the in-memory trace and a v2
+// re-encode as a byte image, both at an arbitrary shard count, and the
+// v2 streaming reader must all be bit-identical to AnalyzeCtx — the
+// fuzz form of the shard-boundary suite.
 func FuzzShardedAnalyze(f *testing.F) {
 	f.Add([]byte{3, 1, 40, 0}, int64(10), int64(2))
 	// A grant spanning the whole horizon straddles every cut.
@@ -256,16 +256,16 @@ func FuzzShardedAnalyze(f *testing.F) {
 		if tr == nil || tr.Validate() != nil {
 			return
 		}
-		want, err := Analyze(tr, ws)
+		want, err := AnalyzeCtx(context.Background(), tr, ws)
 		if err != nil {
 			return // FuzzAnalyze owns rejection behavior
 		}
 		// 0 (auto) or 1..9 explicit shards.
 		n := int(((shards % 10) + 10) % 10)
 
-		got, err := AnalyzeSharded(tr, ws, n, nil)
+		got, err := AnalyzeTrace(context.Background(), tr, Windows{Size: ws}, n, nil)
 		if err != nil {
-			t.Fatalf("AnalyzeSharded(%d) rejected a valid trace: %v", n, err)
+			t.Fatalf("AnalyzeTrace(%d shards) rejected a valid trace: %v", n, err)
 		}
 		if diffs := DiffAnalyses(got, want); len(diffs) > 0 {
 			t.Fatalf("sharded(%d) vs sweep:\n%s", n, strings.Join(diffs, "\n"))
@@ -275,9 +275,9 @@ func FuzzShardedAnalyze(f *testing.F) {
 		if err := WriteBinaryV2(&v2, tr); err != nil {
 			t.Fatalf("WriteBinaryV2: %v", err)
 		}
-		got, err = AnalyzeBytesSharded(context.Background(), v2.Bytes(), ws, n, nil)
+		got, err = AnalyzeImage(context.Background(), v2.Bytes(), Windows{Size: ws}, n, nil)
 		if err != nil {
-			t.Fatalf("AnalyzeBytesSharded(v2, %d): %v", n, err)
+			t.Fatalf("AnalyzeImage(v2, %d shards): %v", n, err)
 		}
 		if diffs := DiffAnalyses(got, want); len(diffs) > 0 {
 			t.Fatalf("v2 sharded(%d) vs sweep:\n%s", n, strings.Join(diffs, "\n"))

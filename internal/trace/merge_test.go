@@ -1,17 +1,20 @@
 package trace
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func TestMergeAnalysesWindowsConcatenated(t *testing.T) {
 	trA := &Trace{NumReceivers: 2, NumSenders: 1, Horizon: 200,
 		Events: []Event{{Start: 0, Len: 80, Receiver: 0}}}
 	trB := &Trace{NumReceivers: 2, NumSenders: 1, Horizon: 300,
 		Events: []Event{{Start: 100, Len: 90, Receiver: 1, Critical: true}}}
-	aA, err := Analyze(trA, 100)
+	aA, err := AnalyzeCtx(context.Background(), trA, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	aB, err := Analyze(trB, 100)
+	aB, err := AnalyzeCtx(context.Background(), trB, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +54,7 @@ func TestMergeAnalysesOMSummed(t *testing.T) {
 				{Start: 0, Len: overlap, Receiver: 0},
 				{Start: 0, Len: overlap, Receiver: 1},
 			}}
-		a, err := Analyze(tr, 100)
+		a, err := AnalyzeCtx(context.Background(), tr, 100)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,8 +81,8 @@ func TestMergeAnalysesErrors(t *testing.T) {
 	if _, err := MergeAnalyses(); err == nil {
 		t.Error("empty merge accepted")
 	}
-	a2, _ := Analyze(&Trace{NumReceivers: 2, NumSenders: 1, Horizon: 10}, 10)
-	a3, _ := Analyze(&Trace{NumReceivers: 3, NumSenders: 1, Horizon: 10}, 10)
+	a2, _ := AnalyzeCtx(context.Background(), &Trace{NumReceivers: 2, NumSenders: 1, Horizon: 10}, 10)
+	a3, _ := AnalyzeCtx(context.Background(), &Trace{NumReceivers: 3, NumSenders: 1, Horizon: 10}, 10)
 	if _, err := MergeAnalyses(a2, a3); err == nil {
 		t.Error("mismatched receiver counts accepted")
 	}

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"math/rand"
 	"testing"
@@ -10,19 +12,45 @@ import (
 // asserts bit-identity against the single-pass sweep.
 func mustShardEqual(t *testing.T, tag string, tr *Trace, ws int64, shards int) *ShardStats {
 	t.Helper()
-	want, err := Analyze(tr, ws)
+	want, err := AnalyzeCtx(context.Background(), tr, ws)
 	if err != nil {
-		t.Fatalf("%s: Analyze: %v", tag, err)
+		t.Fatalf("%s: AnalyzeCtx: %v", tag, err)
 	}
 	var stats ShardStats
-	got, err := AnalyzeSharded(tr, ws, shards, &stats)
+	got, err := AnalyzeTrace(context.Background(), tr, Windows{Size: ws}, shards, &stats)
 	if err != nil {
-		t.Fatalf("%s: AnalyzeSharded(%d): %v", tag, shards, err)
+		t.Fatalf("%s: AnalyzeTrace(%d shards): %v", tag, shards, err)
 	}
 	mustEqualAnalyses(t, tag, got, want)
 	return &stats
 }
 
+// analyzeFrom runs the driver on one source of tr: "memory" (the event
+// slice, any order), "v1-image"/"v2-image" (the byte images of its
+// start-sorted encodings) or "v1-stream"/"v2-stream" (the same bytes
+// read once, front to back).
+func analyzeFrom(kind string, tr *Trace, v1, v2 []byte, win Windows, shards int, stats *ShardStats) (*Analysis, error) {
+	ctx := context.Background()
+	data := map[string][]byte{"v1": v1, "v2": v2}[kind[:2]]
+	switch kind {
+	case "memory":
+		return AnalyzeTrace(ctx, tr, win, shards, stats)
+	case "v1-image", "v2-image":
+		return AnalyzeImage(ctx, data, win, shards, stats)
+	}
+	br := bufio.NewReader(bytes.NewReader(data))
+	hdr, err := readBinaryHeader(br)
+	if err != nil {
+		return nil, err
+	}
+	return analyze(ctx, stream{br: br, hdr: hdr}, win, shards, stats)
+}
+
+// TestShardedMatchesSweepRandom is the driver's equivalence table:
+// every source × every window plan (fixed, a single window, adaptive
+// edges) × shard counts is bit-identical to the legacy oracle, the
+// shards' windows partition the plan, and a one-shard run neither
+// plans nor merges.
 func TestShardedMatchesSweepRandom(t *testing.T) {
 	for _, receivers := range []int{1, 2, 3, 8, 17, 33} {
 		rng := rand.New(rand.NewSource(int64(1000 + receivers)))
@@ -30,15 +58,62 @@ func TestShardedMatchesSweepRandom(t *testing.T) {
 		for trial := 0; trial < 4; trial++ {
 			horizon := int64(64 + rng.Intn(4000))
 			tr := randomSweepTrace(rng, receivers, events, horizon)
-			for _, ws := range []int64{1, 7, horizon / 3, horizon} {
-				if ws <= 0 {
-					continue
+			v1, v2 := encodeTrace(t, sortedCopy(tr)), encodeTraceV2(t, tr)
+			edges, err := AdaptiveBoundaries(tr, horizon/20+1, horizon/4+1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plans := map[string]Windows{
+				"ws1":      {Size: 1},
+				"ws7":      {Size: 7},
+				"ws-third": {Size: horizon / 3},
+				"single":   {Size: horizon},
+				"adaptive": {Edges: edges},
+			}
+			for pname, win := range plans {
+				want, err := AnalyzeLegacy(context.Background(), tr, win)
+				if err != nil {
+					t.Fatalf("legacy %s: %v", pname, err)
 				}
-				for _, shards := range []int{1, 2, 3, 5, 8, 64, 0} {
-					mustShardEqual(t, "rx"+itoa(receivers)+"/ws"+itoa(int(ws))+"/sh"+itoa(shards), tr, ws, shards)
+				for _, kind := range []string{"memory", "v1-image", "v2-image", "v1-stream", "v2-stream"} {
+					for _, shards := range []int{0, 1, 2, 3, 5, 8, 64} {
+						tag := "rx" + itoa(receivers) + "/" + pname + "/" + kind + "/sh" + itoa(shards)
+						var stats ShardStats
+						got, err := analyzeFrom(kind, tr, v1, v2, win, shards, &stats)
+						if err != nil {
+							t.Fatalf("%s: %v", tag, err)
+						}
+						mustEqualAnalyses(t, tag, got, want)
+						wins := 0
+						for _, st := range stats.Shards {
+							wins += st.Windows
+						}
+						if wins != got.NumWindows() {
+							t.Fatalf("%s: shard windows sum to %d, want %d", tag, wins, got.NumWindows())
+						}
+						if len(stats.Shards) == 1 && (stats.PlanNS != 0 || stats.MergeNS != 0) {
+							t.Fatalf("%s: one shard planned %dns and merged %dns, want neither", tag, stats.PlanNS, stats.MergeNS)
+						}
+					}
 				}
 			}
 		}
+	}
+}
+
+// TestEventsPerSecImplied pins the implied-throughput definition: the
+// events over plan + slowest shard + merge.
+func TestEventsPerSecImplied(t *testing.T) {
+	st := ShardStats{
+		Shards:  []ShardStat{{Events: 600, NS: 2e6}, {Events: 400, NS: 3e6}},
+		PlanNS:  1e6,
+		MergeNS: 4e6,
+	}
+	if got, want := st.EventsPerSec(), 1000/8e-3; got != want {
+		t.Fatalf("EventsPerSec = %v, want %v (1000 events over 1+3+4 ms)", got, want)
+	}
+	if got := (&ShardStats{}).EventsPerSec(); got != 0 {
+		t.Fatalf("empty stats: EventsPerSec = %v, want 0", got)
 	}
 }
 
@@ -123,11 +198,11 @@ func TestShardedDegenerate(t *testing.T) {
 
 	// More shards than windows: resolves down to the window count.
 	var stats2 ShardStats
-	got, err := AnalyzeSharded(oneWindow, 50, 100, &stats2)
+	got, err := AnalyzeTrace(context.Background(), oneWindow, Windows{Size: 50}, 100, &stats2)
 	if err != nil {
 		t.Fatalf("over-sharded: %v", err)
 	}
-	want, _ := Analyze(oneWindow, 50)
+	want, _ := AnalyzeCtx(context.Background(), oneWindow, 50)
 	mustEqualAnalyses(t, "over-sharded", got, want)
 	if len(stats2.Shards) != 1 {
 		t.Fatalf("over-sharded: got %d shards, want 1", len(stats2.Shards))
@@ -135,7 +210,7 @@ func TestShardedDegenerate(t *testing.T) {
 }
 
 // TestShardedUnsortedInput checks the sharded entry point accepts
-// unordered event slices, like Analyze does.
+// unordered event slices, like the single pass does.
 func TestShardedUnsortedInput(t *testing.T) {
 	tr := &Trace{NumReceivers: 3, NumSenders: 1, Horizon: 600, Events: []Event{
 		{Start: 500, Len: 90, Receiver: 2},
@@ -152,12 +227,12 @@ func TestShardedAdaptiveBoundaries(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	tr := randomSweepTrace(rng, 6, 120, 900)
 	boundaries := []int64{0, 13, 14, 200, 450, 451, 700, 900}
-	want, err := AnalyzeWithBoundariesCtx(context.Background(), tr, boundaries)
+	want, err := AnalyzeTrace(context.Background(), tr, Windows{Edges: boundaries}, 1, nil)
 	if err != nil {
-		t.Fatalf("AnalyzeWithBoundariesCtx: %v", err)
+		t.Fatalf("one-shard AnalyzeTrace: %v", err)
 	}
 	for _, shards := range []int{2, 3, 7, 50} {
-		got, err := AnalyzeShardedWithBoundariesCtx(context.Background(), tr, boundaries, shards, nil)
+		got, err := AnalyzeTrace(context.Background(), tr, Windows{Edges: boundaries}, shards, nil)
 		if err != nil {
 			t.Fatalf("sharded adaptive (%d): %v", shards, err)
 		}
@@ -171,7 +246,7 @@ func TestShardedCancel(t *testing.T) {
 	tr := randomSweepTrace(rng, 8, 5000, 100000)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := AnalyzeShardedCtx(ctx, tr, 10, 4, nil); err == nil {
+	if _, err := AnalyzeTrace(ctx, tr, Windows{Size: 10}, 4, nil); err == nil {
 		t.Fatal("canceled sharded analysis returned nil error")
 	}
 }
@@ -185,7 +260,7 @@ func TestShardedStats(t *testing.T) {
 		{Start: 250, Len: 10, Receiver: 1},
 	}}
 	var stats ShardStats
-	if _, err := AnalyzeSharded(tr, 100, 4, &stats); err != nil {
+	if _, err := AnalyzeTrace(context.Background(), tr, Windows{Size: 100}, 4, &stats); err != nil {
 		t.Fatal(err)
 	}
 	if len(stats.Shards) != 4 {

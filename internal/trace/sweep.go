@@ -1,11 +1,6 @@
 package trace
 
 import (
-	"bufio"
-	"context"
-	"encoding/binary"
-	"fmt"
-	"io"
 	"math"
 	"math/bits"
 	"sort"
@@ -274,23 +269,14 @@ func (sw *sweeper) feed(start, length int64, recv int, critical bool) {
 	}
 }
 
-// finish flushes both streams, compacts the sparse tables, derives the
-// aggregate OM and returns the completed analysis.
-func (sw *sweeper) finish() *Analysis {
-	sw.finishTables()
-	deriveOM(sw.a)
-	return sw.a
-}
-
-// finishTables flushes both streams and compacts the sparse tables
-// without deriving OM — the per-shard half of the sharded driver, whose
-// partial tables are merged before the aggregate matrix is meaningful.
-func (sw *sweeper) finishTables() *Analysis {
+// finishTables flushes both streams and compacts the sparse tables.
+// The aggregate OM is derived afterwards, once per analysis: a shard's
+// partial tables are merged before it is meaningful.
+func (sw *sweeper) finishTables() {
 	sw.busy.finish()
 	sw.crit.finish()
 	sw.a.Overlap.Compact()
 	sw.a.CritOverlap.Compact()
-	return sw.a
 }
 
 // deriveOM fills the aggregate OM from the compacted overlap rows
@@ -309,57 +295,26 @@ func deriveOM(a *Analysis) {
 	}
 }
 
-// annotate records the kernel's instruments on the span and the
-// package metrics.
-func (sw *sweeper) annotate(span *obs.Span) {
-	segments := sw.busy.segments + sw.crit.segments
+// annotate records the sweep instruments of an analysis, summed over
+// its shards, on the span and the package metrics.
+func annotate(span *obs.Span, shards []*sweeper, a *Analysis) {
+	var segments int64
+	peak := 0
+	for _, sw := range shards {
+		segments += sw.busy.segments + sw.crit.segments
+		peak = max(peak, sw.busy.peakActive)
+	}
 	metSweepSegments.Add(segments)
-	metSparseCells.Add(int64(sw.a.Overlap.NNZ() + sw.a.CritOverlap.NNZ()))
-	gagActivePeak.Set(int64(sw.busy.peakActive))
+	metSparseCells.Add(int64(a.Overlap.NNZ() + a.CritOverlap.NNZ()))
+	gagActivePeak.Set(int64(peak))
 	span.SetInt("segments", segments)
-	span.SetInt("active_peak", int64(sw.busy.peakActive))
-	span.SetFloat("sparse_fill", sw.a.Overlap.FillRatio())
+	span.SetInt("active_peak", int64(peak))
+	span.SetFloat("sparse_fill", a.Overlap.FillRatio())
 }
 
 // sweepCancelStride is how many events the kernels process between
 // cancellation polls.
 const sweepCancelStride = 1 << 13
-
-// analyzeSweep is the in-memory entry of the sweep kernel: it sorts a
-// copy of the events by start cycle (radix sort — the only O(E) scratch
-// the kernel needs) and runs the single-pass sweep. Inputs are already
-// validated.
-func analyzeSweep(ctx context.Context, tr *Trace, boundaries []int64) (*Analysis, error) {
-	nT := tr.NumReceivers
-	nW := len(boundaries) - 1
-
-	ctx, span := obs.Start(ctx, "trace.analyze")
-	defer span.End()
-	span.SetStr("kernel", "sweep")
-	span.SetInt("receivers", int64(nT))
-	span.SetInt("windows", int64(nW))
-	span.SetInt("events", int64(len(tr.Events)))
-	metAnalyses.Inc()
-	metWindows.Add(int64(nW))
-
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("trace: analysis canceled: %w", err)
-	}
-	events := sortEventsByStart(tr.Events)
-	sw := newSweeper(nT, boundaries)
-	for k := range events {
-		if k%sweepCancelStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("trace: analysis canceled: %w", err)
-			}
-		}
-		e := &events[k]
-		sw.feed(e.Start, e.Len, e.Receiver, e.Critical)
-	}
-	a := sw.finish()
-	sw.annotate(span)
-	return a, nil
-}
 
 // sortEventsByStart returns the events ordered by start cycle: the
 // input itself when it is already ordered (cycle-accurate simulators
@@ -425,100 +380,4 @@ func sortEventsByStart(events []Event) []Event {
 		out, scratch = scratch, out
 	}
 	return out
-}
-
-// AnalyzeReader computes the window analysis directly from a binary
-// trace stream (the WriteBinary format) without materializing the
-// event slice: each record updates the sweep frontier and is dropped.
-// Peak memory is the output tables plus O(R) frontier state —
-// independent of the event count — which is what makes multi-hundred-
-// million-event traces analyzable at all.
-//
-// The stream's events must be ordered by nondecreasing start cycle
-// (cycle-accurate simulators emit them that way); an out-of-order
-// record is reported as an error, in which case the caller should fall
-// back to ReadBinary + Analyze.
-func AnalyzeReader(ctx context.Context, r io.Reader, ws int64) (*Analysis, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	hdr, err := readBinaryHeader(br)
-	if err != nil {
-		return nil, err
-	}
-	if hdr.numReceivers == 0 {
-		return nil, fmt.Errorf("trace: NumReceivers must be positive")
-	}
-	if hdr.numSenders == 0 {
-		return nil, fmt.Errorf("trace: NumSenders must be positive")
-	}
-	// The analysis tables are O(R²) rows, allocated before the first
-	// event is read; bound the receiver count tighter than the generic
-	// header check so a hostile header cannot commit gigabytes. Real
-	// STbus platforms top out at 32 targets.
-	const maxStreamReceivers = 1 << 12
-	if hdr.numReceivers > maxStreamReceivers {
-		return nil, fmt.Errorf("trace: %d receivers exceeds the streaming-analysis limit %d", hdr.numReceivers, maxStreamReceivers)
-	}
-	if hdr.horizon <= 0 {
-		return nil, fmt.Errorf("trace: Horizon must be positive")
-	}
-	boundaries, err := windowBoundaries(hdr.horizon, ws)
-	if err != nil {
-		return nil, err
-	}
-	nT := int(hdr.numReceivers)
-	nS := int(hdr.numSenders)
-
-	ctx, span := obs.Start(ctx, "trace.analyze")
-	defer span.End()
-	span.SetStr("kernel", "stream")
-	span.SetInt("receivers", int64(nT))
-	span.SetInt("windows", int64(len(boundaries)-1))
-	span.SetInt("events", int64(hdr.numEvents))
-	metAnalyses.Inc()
-	metWindows.Add(int64(len(boundaries) - 1))
-
-	sw := newSweeper(nT, boundaries)
-	if hdr.version == binaryVersionV2 {
-		if err := analyzeReaderV2(ctx, br, hdr, sw, nT, nS); err != nil {
-			return nil, err
-		}
-		a := sw.finish()
-		sw.annotate(span)
-		return a, nil
-	}
-	var buf [binaryEventSize]byte
-	lastStart := int64(-1)
-	for i := uint64(0); i < hdr.numEvents; i++ {
-		if i%sweepCancelStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("trace: analysis canceled: %w", err)
-			}
-		}
-		if _, err := io.ReadFull(br, buf[:]); err != nil {
-			return nil, fmt.Errorf("trace: reading event %d: %w", i, err)
-		}
-		e := decodeBinaryEvent(&buf)
-		if err := validateStreamEvent(i, e, nT, nS, hdr.horizon); err != nil {
-			return nil, err
-		}
-		if e.Start < lastStart {
-			return nil, fmt.Errorf("%w: event %d starts at %d, before the previous start %d — streaming analysis requires start-ordered traces (fall back to ReadBinary + Analyze)", ErrUnsorted, i, e.Start, lastStart)
-		}
-		lastStart = e.Start
-		sw.feed(e.Start, e.Len, e.Receiver, e.Critical)
-	}
-	a := sw.finish()
-	sw.annotate(span)
-	return a, nil
-}
-
-// decodeBinaryEvent parses one WriteBinary event record.
-func decodeBinaryEvent(buf *[binaryEventSize]byte) Event {
-	return Event{
-		Start:    int64(binary.LittleEndian.Uint64(buf[0:])),
-		Len:      int64(binary.LittleEndian.Uint64(buf[8:])),
-		Sender:   int(binary.LittleEndian.Uint32(buf[16:])),
-		Receiver: int(binary.LittleEndian.Uint32(buf[20:])),
-		Critical: buf[24] != 0,
-	}
 }

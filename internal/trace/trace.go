@@ -50,33 +50,69 @@ type Trace struct {
 
 // Validate checks structural invariants of the trace.
 func (tr *Trace) Validate() error {
-	if tr.NumReceivers <= 0 {
-		return errors.New("trace: NumReceivers must be positive")
+	sh := tr.shape()
+	if err := sh.validate(); err != nil {
+		return err
 	}
-	if tr.NumSenders <= 0 {
-		return errors.New("trace: NumSenders must be positive")
-	}
-	if tr.Horizon <= 0 {
-		return errors.New("trace: Horizon must be positive")
-	}
-	for i, e := range tr.Events {
-		if e.Receiver < 0 || e.Receiver >= tr.NumReceivers {
-			return fmt.Errorf("trace: event %d receiver %d out of range [0,%d)", i, e.Receiver, tr.NumReceivers)
-		}
-		if e.Sender < 0 || e.Sender >= tr.NumSenders {
-			return fmt.Errorf("trace: event %d sender %d out of range [0,%d)", i, e.Sender, tr.NumSenders)
-		}
-		if e.Len <= 0 {
-			return fmt.Errorf("trace: event %d has non-positive length %d", i, e.Len)
-		}
-		// Bound Len against the remaining horizon instead of comparing
-		// e.End() to it: Start+Len can overflow int64 (wrapping End()
-		// negative), and a wrapped End passes an `End > Horizon` check.
-		if e.Start < 0 || e.Start >= tr.Horizon || e.Len > tr.Horizon-e.Start {
-			return fmt.Errorf("trace: event %d [%d,+%d) outside horizon %d", i, e.Start, e.Len, tr.Horizon)
+	for i := range tr.Events {
+		if e := &tr.Events[i]; !sh.fits(e) {
+			return sh.eventError(uint64(i), e)
 		}
 	}
 	return nil
+}
+
+func (tr *Trace) shape() shape {
+	return shape{nT: tr.NumReceivers, nS: tr.NumSenders, horizon: tr.Horizon, events: uint64(len(tr.Events))}
+}
+
+// shape is a trace's header: the receiver and sender counts, the
+// horizon and the event count, as read from a binary header or taken
+// from an in-memory trace.
+type shape struct {
+	nT, nS  int
+	horizon int64
+	events  uint64
+}
+
+// validate checks the header fields every trace must satisfy.
+func (sh shape) validate() error {
+	if sh.nT <= 0 {
+		return errors.New("trace: NumReceivers must be positive")
+	}
+	if sh.nS <= 0 {
+		return errors.New("trace: NumSenders must be positive")
+	}
+	if sh.horizon <= 0 {
+		return errors.New("trace: Horizon must be positive")
+	}
+	return nil
+}
+
+// fits reports whether an event lies inside the header's shape. It is
+// one expression, the unsigned compares folding the nonnegativity
+// checks, so that it inlines into the per-event loops; eventError names
+// the failure.
+func (sh *shape) fits(e *Event) bool {
+	// Bound Len against the remaining horizon instead of comparing
+	// e.End() to it: Start+Len can overflow int64 (wrapping End()
+	// negative), and a wrapped End passes an `End > Horizon` check.
+	return uint(e.Receiver) < uint(sh.nT) && uint(e.Sender) < uint(sh.nS) && e.Len > 0 &&
+		uint64(e.Start) < uint64(sh.horizon) && e.Len <= sh.horizon-e.Start
+}
+
+// eventError describes why event i does not fit the header.
+func (sh *shape) eventError(i uint64, e *Event) error {
+	switch {
+	case e.Receiver < 0 || e.Receiver >= sh.nT:
+		return fmt.Errorf("trace: event %d receiver %d out of range [0,%d)", i, e.Receiver, sh.nT)
+	case e.Sender < 0 || e.Sender >= sh.nS:
+		return fmt.Errorf("trace: event %d sender %d out of range [0,%d)", i, e.Sender, sh.nS)
+	case e.Len <= 0:
+		return fmt.Errorf("trace: event %d has non-positive length %d", i, e.Len)
+	default:
+		return fmt.Errorf("trace: event %d [%d,+%d) outside horizon %d", i, e.Start, e.Len, sh.horizon)
+	}
 }
 
 // busyByReceiver returns, for each receiver, the set of cycles in which
